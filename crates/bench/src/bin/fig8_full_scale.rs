@@ -3,7 +3,8 @@
 //! 64 PEs, 16 GB MCDRAM @ 420 GB/s, 96 GB DDR4 @ 90 GB/s; 32 GB total
 //! stencil working set, 20 iterations, reduced working set (PEs × block
 //! size) ∈ {2, 4, 8} GB — the exact §V-A configuration, replayed by the
-//! deterministic discrete-event simulator in milliseconds of host time.
+//! deterministic discrete-event simulator. The sweep takes about 0.2 s
+//! of host time in a release build on a 2-vCPU Xeon.
 
 use bench::{emit, Scale, Table};
 use vtsim::{stencil_workload, SimConfig, SimStrategy, Simulator, StencilSpec, Workload};

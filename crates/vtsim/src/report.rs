@@ -24,7 +24,9 @@ pub struct SimReport {
     pub evict_bytes: u64,
     /// Total task wait between arrival and admission, ns.
     pub queue_wait_ns: u64,
-    /// Per-PE busy time, ns.
+    /// Per-PE busy time, ns: inline fetches, compute and the eviction
+    /// after each task. The eviction may overlap the PE's next task
+    /// (see [`SimReport::pe_utilization`]).
     pub pe_busy_ns: Vec<u64>,
     /// Per-IO-thread busy time, ns.
     pub io_busy_ns: Vec<u64>,
@@ -40,7 +42,14 @@ impl SimReport {
         self.makespan_ns as f64 / 1e9
     }
 
-    /// Mean PE utilisation over the makespan, 0..=1.
+    /// Mean PE busy time over the makespan, as a fraction of it.
+    ///
+    /// Not bounded by 1 under managed strategies: the simulator frees a
+    /// PE at compute end while its trailing eviction still reserves
+    /// pipe time, so the PE can start its next task during that
+    /// eviction, and both count as busy. The paper-scale Fig. 8
+    /// SyncFetch and 64-IO-thread runs read 1.96–1.99. DESIGN.md
+    /// (`vtsim`) records this modelling gap.
     pub fn pe_utilization(&self) -> f64 {
         if self.makespan_ns == 0 || self.pe_busy_ns.is_empty() {
             return 0.0;

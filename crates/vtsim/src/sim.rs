@@ -1,16 +1,22 @@
 //! The discrete-event engine.
 //!
-//! Single-threaded and deterministic: events are ordered by
-//! `(time, sequence number)`, so identical configurations always yield
-//! identical timelines. The handlers mirror the threaded runtime's
-//! control flow (interception → wait queue → fetch → run queue →
-//! execute → evict → wake).
+//! Single-threaded and deterministic: events are handled in
+//! `(time, push order)` (the event queue in `queue.rs`), so identical
+//! configurations always yield identical timelines. The handlers mirror
+//! the threaded runtime's control flow (interception → wait queue →
+//! fetch → run queue → execute → evict → wake).
+//!
+//! A task completion wakes everything its eviction may unblock with a
+//! single event, whatever the PE or IO-thread count. The event visits
+//! the IO groups or PEs in turn. That equals separate per-group or
+//! per-PE ticks pushed back to back at one time, since no other event
+//! can pop between those.
 
 use crate::model::{SimConfig, SimNode, SimStrategy, Workload};
 use crate::pipe::{ReservationPipe, VTime};
+use crate::queue::EventQueue;
 use crate::report::SimReport;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
@@ -20,10 +26,24 @@ enum Ev {
     PeTick(usize),
     /// An IO thread should look for work.
     IoTick(usize),
-    /// A task's execution (and trailing eviction) finished.
+    /// A task's compute finished; the handler evicts its dependences
+    /// and wakes the PEs or IO threads when the eviction ends.
     TaskDone { task: usize, pe: usize },
     /// An IO thread finished fetching a task's dependences.
     FetchDone { io: usize, task: usize },
+    /// IO threads, after a completion on `pe`: tick IO group `group`,
+    /// then every other group ([`io_wake_order`]), then `pe`.
+    IoWake { group: usize, pe: usize },
+    /// SyncFetch, after a completion: tick the PEs of sweep buffer
+    /// `.0` in order.
+    PeSweep(usize),
+}
+
+/// The IO groups an [`Ev::IoWake`] for `group` ticks, in order: its
+/// own group first (the completing PE's), then the rest by index,
+/// since an eviction may unblock any IO thread.
+fn io_wake_order(group: usize, groups: usize) -> impl Iterator<Item = usize> {
+    std::iter::once(group).chain((0..groups).filter(move |&g| g != group))
 }
 
 struct BlockState {
@@ -59,8 +79,13 @@ pub struct Simulator {
     pes: Vec<PeState>,
     wait_queues: Vec<VecDeque<usize>>,
     io: Vec<IoState>,
-    events: BinaryHeap<Reverse<(VTime, u64, Ev)>>,
-    seq: u64,
+    /// PEs per IO group: group `g` serves PEs `g * per..(g + 1) * per`.
+    pes_per_group: usize,
+    events: EventQueue<Ev>,
+    /// PE lists of pending [`Ev::PeSweep`] events, and the free ones;
+    /// buffers are reused, so a completion allocates nothing.
+    sweeps: Vec<Vec<usize>>,
+    free_sweeps: Vec<usize>,
     workload: Workload,
     // statistics
     arrive_time: Vec<VTime>,
@@ -139,20 +164,27 @@ impl Simulator {
         let hbm_pipe = ReservationPipe::new(cfg.hbm.bandwidth_bytes_per_sec)
             .with_write_penalty(cfg.hbm.write_penalty);
         let task_pending = workload.tasks.iter().map(|t| t.pending).collect();
-        let n_tasks = workload.tasks.len();
-        let mut sim = Self {
-            cfg,
+        let mut events = EventQueue::new();
+        for (i, t) in workload.tasks.iter().enumerate() {
+            assert!(t.pe < cfg.pes, "task pe out of range");
+            if t.pending == 0 {
+                events.push(0, Ev::Arrive(i));
+            }
+        }
+        Self {
             blocks,
             task_pending,
             hbm_used,
             ddr_pipe,
             hbm_pipe,
             pes,
-            wait_queues: (0..0).map(|_| VecDeque::new()).collect(),
+            wait_queues: (0..cfg.pes).map(|_| VecDeque::new()).collect(),
             io,
-            events: BinaryHeap::new(),
-            seq: 0,
-            arrive_time: vec![0; n_tasks],
+            pes_per_group: per,
+            events,
+            sweeps: Vec::new(),
+            free_sweeps: Vec::new(),
+            arrive_time: vec![0; workload.tasks.len()],
             completed: 0,
             makespan: 0,
             fetches: 0,
@@ -160,41 +192,13 @@ impl Simulator {
             evictions: 0,
             evict_bytes: 0,
             queue_wait_ns: 0,
+            cfg,
             workload,
-        };
-        sim.wait_queues = (0..sim.cfg.pes).map(|_| VecDeque::new()).collect();
-        let initial: Vec<usize> = sim
-            .workload
-            .tasks
-            .iter()
-            .enumerate()
-            .inspect(|(_, t)| assert!(t.pe < sim.cfg.pes, "task pe out of range"))
-            .filter(|(_, t)| t.pending == 0)
-            .map(|(i, _)| i)
-            .collect();
-        for i in initial {
-            sim.push_event(0, Ev::Arrive(i));
         }
-        sim
-    }
-
-    fn push_event(&mut self, t: VTime, ev: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse((t, self.seq, ev)));
     }
 
     fn group_of_pe(&self, pe: usize) -> usize {
-        self.io
-            .iter()
-            .position(|io| io.queues.contains(&pe))
-            .expect("every PE belongs to an IO group")
-    }
-
-    fn pipe(&mut self, node: SimNode) -> &mut ReservationPipe {
-        match node {
-            SimNode::Ddr => &mut self.ddr_pipe,
-            SimNode::Hbm => &mut self.hbm_pipe,
-        }
+        pe / self.pes_per_group
     }
 
     /// Missing bytes a task still needs in HBM.
@@ -210,9 +214,8 @@ impl Simulator {
     /// Fetch all missing dependences starting at `t`; returns the
     /// completion time. Caller has verified capacity.
     fn do_fetch(&mut self, task: usize, t: VTime) -> VTime {
-        let charges = self.workload.tasks[task].charges.clone();
         let mut cur = t;
-        for c in charges {
+        for c in &self.workload.tasks[task].charges {
             if self.blocks[c.block].node != SimNode::Ddr {
                 continue;
             }
@@ -241,26 +244,28 @@ impl Simulator {
 
     /// Reference all dependences of `task`.
     fn add_refs(&mut self, task: usize) {
-        let charges = self.workload.tasks[task].charges.clone();
-        for c in charges {
+        for c in &self.workload.tasks[task].charges {
             self.blocks[c.block].rc += 1;
         }
     }
 
     /// Execute a task's compute charges starting at `t`; returns end.
     fn do_compute(&mut self, task: usize, t: VTime) -> VTime {
-        let task_spec = self.workload.tasks[task].clone();
+        let spec = &self.workload.tasks[task];
         let mut cur = t;
-        for c in &task_spec.charges {
-            let node = self.blocks[c.block].node;
+        for c in &spec.charges {
+            let pipe = match self.blocks[c.block].node {
+                SimNode::Ddr => &mut self.ddr_pipe,
+                SimNode::Hbm => &mut self.hbm_pipe,
+            };
             if c.read_bytes > 0 {
-                cur = self.pipe(node).reserve_read(cur, c.read_bytes);
+                cur = pipe.reserve_read(cur, c.read_bytes);
             }
             if c.write_bytes > 0 {
-                cur = self.pipe(node).reserve_write(cur, c.write_bytes);
+                cur = pipe.reserve_write(cur, c.write_bytes);
             }
         }
-        cur + task_spec.flops_ns
+        cur + spec.flops_ns
     }
 
     /// Release refs and evict zero-refcount blocks starting at `t`.
@@ -268,14 +273,14 @@ impl Simulator {
         if self.cfg.strategy == SimStrategy::Baseline {
             return t;
         }
-        let charges = self.workload.tasks[task].charges.clone();
+        let charges = &self.workload.tasks[task].charges;
         let mut cur = t;
-        for c in &charges {
+        for c in charges {
             let b = &mut self.blocks[c.block];
             debug_assert!(b.rc > 0);
             b.rc -= 1;
         }
-        for c in &charges {
+        for c in charges {
             let (rc, node, size) = {
                 let b = &self.blocks[c.block];
                 (b.rc, b.node, b.size)
@@ -298,7 +303,7 @@ impl Simulator {
         let end = self.do_compute(task, t);
         self.pes[pe].busy = true;
         self.pes[pe].busy_ns += end - t;
-        self.push_event(end, Ev::TaskDone { task, pe });
+        self.events.push(end, Ev::TaskDone { task, pe });
     }
 
     fn handle_arrive(&mut self, task: usize, t: VTime) {
@@ -307,12 +312,11 @@ impl Simulator {
         match self.cfg.strategy {
             SimStrategy::Baseline | SimStrategy::SyncFetch => {
                 self.pes[pe].run_queue.push_back(task);
-                self.push_event(t, Ev::PeTick(pe));
+                self.events.push(t, Ev::PeTick(pe));
             }
             SimStrategy::IoThreads { .. } => {
                 self.wait_queues[pe].push_back(task);
-                let g = self.group_of_pe(pe);
-                self.push_event(t, Ev::IoTick(g));
+                self.events.push(t, Ev::IoTick(self.group_of_pe(pe)));
             }
         }
     }
@@ -339,7 +343,7 @@ impl Simulator {
                 if self.hbm_used + missing > self.cfg.hbm.capacity_bytes {
                     self.pes[pe].blocked.push_back(task);
                     // Try the next queued task immediately.
-                    self.push_event(t, Ev::PeTick(pe));
+                    self.events.push(t, Ev::PeTick(pe));
                     return;
                 }
                 self.add_refs(task);
@@ -373,7 +377,7 @@ impl Simulator {
             let end = self.do_fetch(task, t);
             self.io[g].busy = true;
             self.io[g].busy_ns += end - t;
-            self.push_event(end, Ev::FetchDone { io: g, task });
+            self.events.push(end, Ev::FetchDone { io: g, task });
             return;
         }
     }
@@ -383,8 +387,8 @@ impl Simulator {
         self.queue_wait_ns += t - self.arrive_time[task];
         let pe = self.workload.tasks[task].pe;
         self.pes[pe].run_queue.push_back(task);
-        self.push_event(t, Ev::PeTick(pe));
-        self.push_event(t, Ev::IoTick(g));
+        self.events.push(t, Ev::PeTick(pe));
+        self.events.push(t, Ev::IoTick(g));
     }
 
     fn handle_task_done(&mut self, task: usize, pe: usize, t: VTime) {
@@ -396,52 +400,77 @@ impl Simulator {
 
         // DAG successors become runnable at compute completion (halo
         // sends happen inside the entry method, before post-processing).
-        let successors = self.workload.tasks[task].successors.clone();
-        for s in successors {
+        for &s in &self.workload.tasks[task].successors {
             self.task_pending[s] -= 1;
             if self.task_pending[s] == 0 {
-                self.push_event(t, Ev::Arrive(s));
+                self.events.push(t, Ev::Arrive(s));
             }
         }
 
-        match self.cfg.strategy {
-            SimStrategy::Baseline => {}
-            SimStrategy::SyncFetch => {
-                // Space may have been freed: retry blocked tasks
-                // everywhere (the liveness-preserving scan of the
-                // threaded implementation).
-                for p in 0..self.cfg.pes {
-                    while let Some(b) = self.pes[p].blocked.pop_front() {
-                        self.pes[p].run_queue.push_front(b);
-                    }
-                    if !self.pes[p].run_queue.is_empty() {
-                        self.push_event(after_evict, Ev::PeTick(p));
-                    }
-                }
+        // Space may have been freed: one event wakes whatever the
+        // eviction may unblock, then this PE.
+        let wake = match self.cfg.strategy {
+            SimStrategy::Baseline => Ev::PeTick(pe),
+            SimStrategy::SyncFetch => Ev::PeSweep(self.sweep_after_completion(pe)),
+            SimStrategy::IoThreads { .. } => Ev::IoWake {
+                group: self.group_of_pe(pe),
+                pe,
+            },
+        };
+        self.events.push(after_evict, wake);
+    }
+
+    /// SyncFetch: requeue blocked tasks everywhere (the
+    /// liveness-preserving scan of the threaded implementation) and
+    /// fill a sweep buffer with every PE that now has queued work, in
+    /// index order, then `pe`. The set is fixed here, at completion
+    /// time: events handled before the sweep fires do not change it.
+    fn sweep_after_completion(&mut self, pe: usize) -> usize {
+        let slot = self.free_sweeps.pop().unwrap_or_else(|| {
+            self.sweeps.push(Vec::new());
+            self.sweeps.len() - 1
+        });
+        let sweep = &mut self.sweeps[slot];
+        for (p, st) in self.pes.iter_mut().enumerate() {
+            while let Some(b) = st.blocked.pop_front() {
+                st.run_queue.push_front(b);
             }
-            SimStrategy::IoThreads { .. } => {
-                let g = self.group_of_pe(pe);
-                self.push_event(after_evict, Ev::IoTick(g));
-                // An eviction may unblock any IO thread.
-                for other in 0..self.io.len() {
-                    if other != g {
-                        self.push_event(after_evict, Ev::IoTick(other));
-                    }
-                }
+            if !st.run_queue.is_empty() {
+                sweep.push(p);
             }
         }
-        self.push_event(after_evict, Ev::PeTick(pe));
+        sweep.push(pe);
+        slot
+    }
+
+    fn handle_pe_sweep(&mut self, slot: usize, t: VTime) {
+        let mut sweep = std::mem::take(&mut self.sweeps[slot]);
+        for &p in &sweep {
+            self.handle_pe_tick(p, t);
+        }
+        sweep.clear();
+        self.sweeps[slot] = sweep;
+        self.free_sweeps.push(slot);
+    }
+
+    fn handle_io_wake(&mut self, group: usize, pe: usize, t: VTime) {
+        for g in io_wake_order(group, self.io.len()) {
+            self.handle_io_tick(g, t);
+        }
+        self.handle_pe_tick(pe, t);
     }
 
     /// Run to completion and report.
     pub fn run(mut self) -> SimReport {
-        while let Some(Reverse((t, _, ev))) = self.events.pop() {
+        while let Some((t, ev)) = self.events.pop() {
             match ev {
                 Ev::Arrive(task) => self.handle_arrive(task, t),
                 Ev::PeTick(pe) => self.handle_pe_tick(pe, t),
                 Ev::IoTick(g) => self.handle_io_tick(g, t),
                 Ev::FetchDone { io, task } => self.handle_fetch_done(io, task, t),
                 Ev::TaskDone { task, pe } => self.handle_task_done(task, pe, t),
+                Ev::IoWake { group, pe } => self.handle_io_wake(group, pe, t),
+                Ev::PeSweep(slot) => self.handle_pe_sweep(slot, t),
             }
         }
         assert_eq!(
@@ -633,5 +662,41 @@ mod tests {
         let b = run();
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.queue_wait_ns, b.queue_wait_ns);
+    }
+
+    #[test]
+    fn io_wake_ticks_own_group_then_the_rest_in_index_order() {
+        // Own group, then every other group ascending.
+        let order = |g, n| io_wake_order(g, n).collect::<Vec<_>>();
+        assert_eq!(order(2, 4), [2, 0, 1, 3]);
+        assert_eq!(order(0, 3), [0, 1, 2]);
+        assert_eq!(order(3, 4), [3, 0, 1, 2]);
+        assert_eq!(order(0, 1), [0]);
+    }
+
+    #[test]
+    fn pe_sweep_lists_pes_with_work_in_index_order_then_the_completing_pe() {
+        let mut cfg = small_cfg(SimStrategy::SyncFetch);
+        cfg.pes = 4;
+        let mut sim = Simulator::new(cfg, workload(1, 1, SimNode::Ddr));
+        // PE 3 has queued work, PE 2 only blocked tasks, PEs 0 and 1
+        // nothing; PE 1 completes a task.
+        sim.pes[3].run_queue.extend([7, 8]);
+        sim.pes[2].blocked.extend([4, 5, 6]);
+        let slot = sim.sweep_after_completion(1);
+        assert_eq!(sim.sweeps[slot], [2, 3, 1]);
+        // Blocked tasks go back to the front of the run queue, last
+        // blocked first.
+        assert!(sim.pes[2].blocked.is_empty());
+        assert_eq!(sim.pes[2].run_queue, [6, 5, 4]);
+        // A second pending sweep gets a buffer of its own; a fired
+        // sweep's buffer is reused.
+        let other = sim.sweep_after_completion(0);
+        assert_ne!(other, slot);
+        assert_eq!(sim.sweeps[other], [2, 3, 0]);
+        sim.pes.iter_mut().for_each(|p| p.busy = true);
+        sim.handle_pe_sweep(slot, 0);
+        assert_eq!(sim.sweep_after_completion(3), slot);
+        assert_eq!(sim.sweeps.len(), 2);
     }
 }
