@@ -13,10 +13,7 @@
 //!   chare (i,j) accumulates `C[i][j] += A[i][k] · B[k][j]` over k
 //!   steps; A and B blocks are `readonly` dependences shared across
 //!   chares (the paper's node-level nodegroup cache), C is `readwrite`.
-//! * [`restart`] — externally-stepped, checkpointable variants of the
-//!   stencil and matmul drivers: the driver owns the iteration loop,
-//!   quiesces at every boundary, checkpoints every N iterations and
-//!   resumes from a checkpoint with bitwise-identical results.
+//!
 //! * [`dgemm`] — the cache-blocked dgemm kernel used by `matmul`
 //!   (stands in for MKL's `cblas_dgemm`, whose internal HBM allocation
 //!   the paper disables anyway).
@@ -24,15 +21,21 @@
 //!   bytes it streams per dependence and charges them against the node
 //!   the block *currently* resides on, which is precisely why placement
 //!   and prefetching matter.
+//!
+//! Each kernel has one driver type, [`Stencil`] and [`Matmul`], which
+//! runs the figure chares in segments: a figure run is one segment; a
+//! run given a checkpoint path stops every
+//! [`OocConfig::checkpoint_every`](hetrt_core::OocConfig::checkpoint_every)
+//! iterations, checkpoints at the quiescent stop, and resumes from
+//! such a checkpoint with bitwise-identical results.
 
 pub mod dgemm;
 pub mod matmul;
-pub mod restart;
+mod segments;
 pub mod stencil;
 pub mod stream;
 pub mod traffic;
 
-pub use matmul::{MatmulConfig, MatmulReport};
-pub use restart::{RestartableMatmul, RestartableStencil};
-pub use stencil::{StencilConfig, StencilReport};
+pub use matmul::{Matmul, MatmulConfig, MatmulReport};
+pub use stencil::{Stencil, StencilConfig, StencilReport};
 pub use stream::{StreamConfig, StreamKernel, StreamReport};

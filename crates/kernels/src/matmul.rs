@@ -13,16 +13,25 @@
 //! why even a single IO thread performs well here ("when a data block
 //! is fetched into HBM, it is consequently reused before eviction to
 //! DDR4"), in contrast to stencil's private, use-once blocks.
+//!
+//! [`Matmul`] runs the k loop in *segments* (see [`crate::stencil`]):
+//! a segment is one task per chare over a range of k, so a figure run
+//! is one task per chare over `0..grid`, and a run that checkpoints
+//! every N iterations sends each chare one task per N k-steps.
 
 use crate::dgemm::{dgemm_block, dgemm_traffic_bytes};
+use crate::segments;
 use crate::traffic::charge_guard;
-use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, Mapping};
-use hetmem::{AccessMode, Memory, Topology};
+use converse::{ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, Mapping};
+use hetmem::{AccessMode, BlockId, MemError, Memory, Topology};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use projections::TraceSummary;
+use std::ops::Range;
+use std::path::Path;
 use std::sync::Arc;
 
-/// Entry: the whole-row × whole-column multiply (`entry [prefetch]`).
+/// Entry: the row × column multiply over a range of k
+/// (`entry [prefetch]`).
 pub const EP_MULTIPLY: EntryId = EntryId(0);
 
 /// Configuration of one matmul run.
@@ -99,27 +108,32 @@ pub struct MatmulReport {
     pub mem_stats: hetmem::MemStats,
 }
 
+/// One multiply task: accumulate `C[i][j] += A[i][k]·B[k][j]` for
+/// every k in `ks`, then count `latch` down.
+struct Multiply {
+    ks: Range<usize>,
+    latch: Arc<CompletionLatch>,
+}
+
 struct MatmulChare {
-    grid: usize,
     block: usize,
     compute_passes: usize,
     a_row: Vec<IoHandle<f64>>, // A[i][0..grid]
     b_col: Vec<IoHandle<f64>>, // B[0..grid][j]
     c: IoHandle<f64>,          // C[i][j]
     mem: Arc<Memory>,
-    latch: Arc<CompletionLatch>,
 }
 
 impl Chare for MatmulChare {
-    type Msg = ();
+    type Msg = Multiply;
 
-    fn execute(&mut self, entry: EntryId, _msg: (), _ctx: &mut ExecCtx<'_>) {
+    fn execute(&mut self, entry: EntryId, msg: Multiply, _ctx: &mut ExecCtx<'_>) {
         debug_assert_eq!(entry, EP_MULTIPLY);
         let n = self.block;
         let passes = self.compute_passes as u64;
         let block_bytes = (n * n * 8) as u64;
         let mut gc = self.c.access(AccessMode::ReadWrite);
-        for k in 0..self.grid {
+        for k in msg.ks {
             let ga = self.a_row[k].access(AccessMode::ReadOnly);
             let gb = self.b_col[k].access(AccessMode::ReadOnly);
             // The bandwidth-sensitive traffic of one tiled block dgemm,
@@ -136,65 +150,217 @@ impl Chare for MatmulChare {
             );
         }
         drop(gc);
-        self.latch.count_down();
+        msg.latch.count_down();
     }
 
-    fn deps(&self, _entry: EntryId, _msg: &()) -> Vec<Dep> {
-        let mut deps: Vec<Dep> = self
-            .a_row
+    fn deps(&self, _entry: EntryId, msg: &Multiply) -> Vec<Dep> {
+        let ks = msg.ks.clone();
+        let mut deps: Vec<Dep> = self.a_row[ks.clone()]
             .iter()
             .map(|h| h.dep(AccessMode::ReadOnly))
             .collect();
-        deps.extend(self.b_col.iter().map(|h| h.dep(AccessMode::ReadOnly)));
+        deps.extend(self.b_col[ks].iter().map(|h| h.dep(AccessMode::ReadOnly)));
         deps.push(self.c.dep(AccessMode::ReadWrite));
         deps
     }
 }
 
-/// Allocate and deterministically initialise a matrix of blocks.
+/// A's entries in [`run_matmul`] and [`Matmul::new`].
+fn default_a(r: usize, c: usize) -> f64 {
+    ((r * 13 + c * 7) % 10) as f64 / 10.0
+}
+
+/// B's entries in [`run_matmul`] and [`Matmul::new`].
+fn default_b(r: usize, c: usize) -> f64 {
+    ((r * 3 + c * 11) % 10) as f64 / 10.0
+}
+
+/// Allocate and deterministically initialise a matrix of blocks,
+/// block row-major.
 fn make_blocks(
     mem: &Arc<Memory>,
     cfg: &MatmulConfig,
     name: &str,
     init: impl Fn(usize, usize) -> f64,
-) -> Vec<Vec<IoHandle<f64>>> {
-    let g = cfg.grid;
-    let bs = cfg.block;
-    (0..g)
-        .map(|bi| {
-            (0..g)
-                .map(|bj| {
-                    let h: IoHandle<f64> = IoHandle::new(
-                        mem,
-                        bs * bs,
-                        cfg.placement,
-                        cfg.ooc.hbm,
-                        cfg.ooc.ddr,
-                        format!("{name}[{bi}][{bj}]"),
-                    )
-                    .expect("matrix block allocation");
-                    h.write(|xs| {
-                        for r in 0..bs {
-                            for c in 0..bs {
-                                xs[r * bs + c] = init(bi * bs + r, bj * bs + c);
-                            }
-                        }
-                    });
-                    h
-                })
-                .collect()
+) -> Vec<IoHandle<f64>> {
+    let (g, bs) = (cfg.grid, cfg.block);
+    (0..g * g)
+        .map(|idx| {
+            let (bi, bj) = (idx / g, idx % g);
+            let h: IoHandle<f64> = IoHandle::new(
+                mem,
+                bs * bs,
+                cfg.placement,
+                cfg.ooc.hbm,
+                cfg.ooc.ddr,
+                format!("{name}[{bi}][{bj}]"),
+            )
+            .expect("matrix block allocation");
+            h.write(|xs| {
+                for r in 0..bs {
+                    for c in 0..bs {
+                        xs[r * bs + c] = init(bi * bs + r, bj * bs + c);
+                    }
+                }
+            });
+            h
         })
         .collect()
+}
+
+/// A matmul run: the chare grid, the A/B/C blocks and the runtime under
+/// them, driven in segments of k-steps. After `grid` k-steps C holds
+/// the full product; a checkpoint captures A, B and the partially
+/// accumulated C.
+pub struct Matmul {
+    cfg: MatmulConfig,
+    ooc: OocRuntime,
+    c: Vec<IoHandle<f64>>,
+    array: ArrayId,
+}
+
+impl Matmul {
+    /// A fresh run with the deterministic A and B of [`run_matmul`]; C
+    /// starts at zero.
+    pub fn new(cfg: MatmulConfig) -> Self {
+        Self::with_init(cfg, default_a, default_b)
+    }
+
+    fn with_init(
+        cfg: MatmulConfig,
+        init_a: impl Fn(usize, usize) -> f64,
+        init_b: impl Fn(usize, usize) -> f64,
+    ) -> Self {
+        let ooc = segments::build_runtime(
+            &cfg.topology,
+            cfg.faults.as_ref(),
+            cfg.pes,
+            cfg.strategy,
+            cfg.ooc,
+        );
+        let a = make_blocks(ooc.memory(), &cfg, "A", init_a);
+        let b = make_blocks(ooc.memory(), &cfg, "B", init_b);
+        let c = make_blocks(ooc.memory(), &cfg, "C", |_, _| 0.0);
+        Self::assemble(cfg, ooc, a, b, c)
+    }
+
+    /// Resume from a checkpoint of a run with the same configuration.
+    /// Block ids follow allocation order: A row-major, then B, then C.
+    /// A checkpoint with other than `3·grid²` blocks, or taken after
+    /// k-step `grid`, is refused with [`MemError::CheckpointFailed`].
+    pub fn resume(cfg: MatmulConfig, checkpoint: &Path) -> Result<Self, MemError> {
+        let ooc = segments::build_runtime(
+            &cfg.topology,
+            cfg.faults.as_ref(),
+            cfg.pes,
+            cfg.strategy,
+            cfg.ooc,
+        );
+        let blocks = cfg.grid * cfg.grid;
+        segments::restore(&ooc, checkpoint, 3 * blocks, cfg.grid)?;
+        let elems = cfg.block * cfg.block;
+        let mut a = (0..3 * blocks)
+            .map(|id| IoHandle::attach(ooc.memory(), BlockId(id as u32), elems))
+            .collect::<Result<Vec<_>, _>>()?;
+        let c = a.split_off(2 * blocks);
+        let b = a.split_off(blocks);
+        Ok(Self::assemble(cfg, ooc, a, b, c))
+    }
+
+    fn assemble(
+        cfg: MatmulConfig,
+        ooc: OocRuntime,
+        a: Vec<IoHandle<f64>>,
+        b: Vec<IoHandle<f64>>,
+        c: Vec<IoHandle<f64>>,
+    ) -> Self {
+        let g = cfg.grid;
+        let (block, compute_passes) = (cfg.block, cfg.compute_passes);
+        let (c2, mem) = (c.clone(), Arc::clone(ooc.memory()));
+        let array = ooc
+            .runtime()
+            .array_builder::<MatmulChare>()
+            .entry(EP_MULTIPLY, EntryOptions::prefetch())
+            .mapping(Mapping::RoundRobin)
+            .build(g * g, move |idx| {
+                let (i, j) = (idx / g, idx % g);
+                MatmulChare {
+                    block,
+                    compute_passes,
+                    a_row: a[i * g..(i + 1) * g].to_vec(),
+                    b_col: (0..g).map(|k| b[k * g + j].clone()).collect(),
+                    c: c2[idx].clone(),
+                    mem: Arc::clone(&mem),
+                }
+            });
+        Self { cfg, ooc, c, array }
+    }
+
+    /// The underlying runtime (iteration counter, stats, checkpoint).
+    pub fn ooc(&self) -> &OocRuntime {
+        &self.ooc
+    }
+
+    /// The memory subsystem.
+    pub fn memory(&self) -> &Arc<Memory> {
+        self.ooc.memory()
+    }
+
+    /// k-steps completed so far.
+    pub fn completed_iterations(&self) -> u64 {
+        self.ooc.iteration()
+    }
+
+    /// Run one k-step across the whole chare grid: a segment of
+    /// length 1.
+    pub fn step(&self) {
+        let k = self.ooc.iteration() as usize;
+        assert!(k < self.cfg.grid, "all k-steps already done");
+        self.segment(k + 1);
+    }
+
+    /// Run all `grid` k-steps, stopping to checkpoint to `checkpoint`
+    /// every [`OocConfig::checkpoint_every`] k-steps (never, if either
+    /// is unset). Returns the wall ns spent in segments, each from its
+    /// first send until its latch fired.
+    pub fn run(&self, checkpoint: Option<&Path>) -> Result<u64, MemError> {
+        segments::run(&self.ooc, self.cfg.grid, checkpoint, |until| {
+            self.segment(until)
+        })
+    }
+
+    fn segment(&self, until: usize) -> u64 {
+        let ks = self.ooc.iteration() as usize..until;
+        let rt = self.ooc.runtime();
+        segments::segment(&self.ooc, self.c.len(), until, |idx, latch| {
+            let ks = ks.clone();
+            rt.send(self.array, idx, EP_MULTIPLY, Multiply { ks, latch });
+        })
+    }
+
+    /// Full C contents, block row-major (bitwise comparison).
+    pub fn c_contents(&self) -> Vec<Vec<f64>> {
+        self.c.iter().map(|h| h.read(<[f64]>::to_vec)).collect()
+    }
+
+    /// Sum over all C entries.
+    pub fn checksum(&self) -> f64 {
+        self.c
+            .iter()
+            .map(|h| h.read(|xs| xs.iter().sum::<f64>()))
+            .sum()
+    }
+
+    /// Stop the runtime. Also runs on drop.
+    pub fn shutdown(&self) {
+        self.ooc.shutdown();
+    }
 }
 
 /// Run a matmul experiment end to end. Returns the report; panics if
 /// the run does not complete.
 pub fn run_matmul(cfg: &MatmulConfig) -> MatmulReport {
-    run_matmul_with_init(
-        cfg,
-        |r, c| ((r * 13 + c * 7) % 10) as f64 / 10.0,
-        |r, c| ((r * 3 + c * 11) % 10) as f64 / 10.0,
-    )
+    run_matmul_with_init(cfg, default_a, default_b)
 }
 
 /// Run with explicit initialisers for A and B (tests use small exact
@@ -204,62 +370,15 @@ pub fn run_matmul_with_init(
     init_a: impl Fn(usize, usize) -> f64,
     init_b: impl Fn(usize, usize) -> f64,
 ) -> MatmulReport {
-    let mem = match &cfg.faults {
-        Some(f) => Memory::with_faults(cfg.topology.clone(), Arc::clone(f)),
-        None => Memory::new(cfg.topology.clone()),
-    };
-    let ooc = OocRuntime::new(Arc::clone(&mem), cfg.pes, cfg.strategy, cfg.ooc);
-    let rt = ooc.runtime();
-
-    let g = cfg.grid;
-    let a = make_blocks(&mem, cfg, "A", init_a);
-    let b = make_blocks(&mem, cfg, "B", init_b);
-    let c = make_blocks(&mem, cfg, "C", |_, _| 0.0);
-
-    let n_chares = g * g;
-    let latch = Arc::new(CompletionLatch::new(n_chares));
-    let (latch2, mem2) = (Arc::clone(&latch), Arc::clone(&mem));
-    let (a2, b2, c2) = (a.clone(), b.clone(), c.clone());
-    let (grid, block) = (cfg.grid, cfg.block);
-    let compute_passes = cfg.compute_passes;
-    let array = rt
-        .array_builder::<MatmulChare>()
-        .entry(EP_MULTIPLY, EntryOptions::prefetch())
-        .mapping(Mapping::RoundRobin)
-        .build(n_chares, move |idx| {
-            let (i, j) = (idx / grid, idx % grid);
-            MatmulChare {
-                grid,
-                block,
-                compute_passes,
-                a_row: a2[i].clone(),
-                b_col: (0..grid).map(|k| b2[k][j].clone()).collect(),
-                c: c2[i][j].clone(),
-                mem: Arc::clone(&mem2),
-                latch: Arc::clone(&latch2),
-            }
-        });
-
-    let t0 = mem.clock().now();
-    for idx in 0..n_chares {
-        rt.send(array, idx, EP_MULTIPLY, ());
-    }
-    assert!(
-        latch.wait_timeout_ms(600_000),
-        "matmul run did not complete"
-    );
-    let total_ns = mem.clock().now().saturating_sub(t0);
-    assert!(ooc.wait_quiescence_ms(60_000), "runtime not quiescent");
-
-    let checksum: f64 = c
-        .iter()
-        .flatten()
-        .map(|h| h.read(|xs| xs.iter().sum::<f64>()))
-        .sum();
-    let stats = ooc.stats();
-    let summary = ooc.finish_trace().summarize();
-    let mem_stats = mem.stats();
-    ooc.shutdown();
+    let run = Matmul::with_init(cfg.clone(), init_a, init_b);
+    let total_ns = run
+        .run(None)
+        .expect("a run without checkpoints cannot fail");
+    let checksum = run.checksum();
+    let stats = run.ooc.stats();
+    let summary = run.ooc.finish_trace().summarize();
+    let mem_stats = run.memory().stats();
+    run.shutdown();
 
     MatmulReport {
         total_ns,
@@ -275,15 +394,15 @@ mod tests {
     use super::*;
     use crate::dgemm::dgemm_naive;
 
-    /// Reference product checksum for the given initialisers.
+    /// Reference product checksum for the default initialisers.
     fn reference_checksum(cfg: &MatmulConfig) -> f64 {
         let n = cfg.n();
         let mut a = vec![0.0; n * n];
         let mut b = vec![0.0; n * n];
         for r in 0..n {
             for c in 0..n {
-                a[r * n + c] = ((r * 13 + c * 7) % 10) as f64 / 10.0;
-                b[r * n + c] = ((r * 3 + c * 11) % 10) as f64 / 10.0;
+                a[r * n + c] = default_a(r, c);
+                b[r * n + c] = default_b(r, c);
             }
         }
         let mut c = vec![0.0; n * n];
@@ -367,5 +486,117 @@ mod tests {
         assert_eq!(cfg.n(), 128);
         assert_eq!(cfg.block_bytes(), 8192);
         assert_eq!(cfg.total_bytes(), 3 * 16 * 8192);
+    }
+
+    fn checkpointed(cfg: MatmulConfig, every: u64) -> MatmulConfig {
+        MatmulConfig {
+            ooc: OocConfig {
+                checkpoint_every: every,
+                ..cfg.ooc
+            },
+            ..cfg
+        }
+    }
+
+    fn grid3() -> MatmulConfig {
+        MatmulConfig {
+            grid: 3,
+            block: 8,
+            strategy: StrategyKind::single_io(),
+            placement: Placement::DdrOnly,
+            ..MatmulConfig::tiny()
+        }
+    }
+
+    #[test]
+    fn segmented_matmul_matches_reference_product() {
+        // One task per chare per k-step.
+        let path = crate::segments::temp_checkpoint("matmul-reference");
+        let cfg = checkpointed(
+            MatmulConfig {
+                strategy: StrategyKind::SyncFetch,
+                placement: Placement::DdrOnly,
+                ..MatmulConfig::tiny()
+            },
+            1,
+        );
+        let want = reference_checksum(&cfg);
+        let run = Matmul::new(cfg);
+        run.run(Some(&path)).unwrap();
+        let got = run.checksum();
+        assert!(
+            (got - want).abs() < 1e-6 * want.abs().max(1.0),
+            "checksum {got} != reference {want}"
+        );
+        run.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn multi_segment_run_matches_single_segment_run() {
+        let path = crate::segments::temp_checkpoint("matmul-segments");
+        let single = Matmul::new(grid3());
+        single.run(None).unwrap();
+        let want = single.c_contents();
+        single.shutdown();
+
+        let run = Matmul::new(checkpointed(grid3(), 2));
+        run.run(Some(&path)).unwrap();
+        assert_eq!(run.c_contents(), want);
+        // Segments 0..2 and 2..3: one task per chare each.
+        assert_eq!(run.ooc().stats().completed, 2 * 9);
+        run.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn matmul_restored_mid_run_finishes_bitwise_identical() {
+        let path = crate::segments::temp_checkpoint("matmul-midrun");
+        let cfg = checkpointed(grid3(), 1);
+
+        let reference = Matmul::new(grid3());
+        reference.run(None).unwrap();
+        let want = reference.c_contents();
+        reference.shutdown();
+
+        let crashed = Matmul::new(cfg.clone());
+        crashed.step();
+        crashed.ooc().checkpoint(&path).unwrap();
+        crashed.step(); // work past the checkpoint is lost with the "crash"
+        crashed.shutdown();
+        drop(crashed);
+
+        let resumed = Matmul::resume(cfg, &path).unwrap();
+        assert_eq!(resumed.completed_iterations(), 1);
+        resumed.run(None).unwrap();
+        assert_eq!(resumed.c_contents(), want, "restart must be bitwise exact");
+        resumed.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_configuration() {
+        let path = crate::segments::temp_checkpoint("matmul-mismatch");
+        let run = Matmul::new(MatmulConfig::tiny());
+        run.run(None).unwrap();
+        run.ooc().checkpoint(&path).unwrap();
+        // The same blocks, claiming one k-step more than the grid has.
+        run.ooc().set_iteration(3);
+        let past_the_end = crate::segments::temp_checkpoint("matmul-past-end");
+        run.ooc().checkpoint(&past_the_end).unwrap();
+        run.shutdown();
+
+        let bigger_grid = MatmulConfig {
+            grid: 3,
+            ..MatmulConfig::tiny()
+        };
+        for (cfg, path) in [(bigger_grid, &path), (MatmulConfig::tiny(), &past_the_end)] {
+            assert!(matches!(
+                Matmul::resume(cfg, path),
+                Err(MemError::CheckpointFailed { .. })
+            ));
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&past_the_end);
     }
 }

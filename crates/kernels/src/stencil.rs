@@ -16,24 +16,40 @@
 //! and writes to independent data blocks in each iteration"), which is
 //! why the single-IO-thread strategy suffers here: no reuse, every task
 //! needs its own fetch.
+//!
+//! [`Stencil`] runs the chares in *segments*: each chare gets one
+//! `Start { until, latch }`, pipelines its iterations up to `until` and
+//! counts the latch down there. A figure run is a single segment. With
+//! a checkpoint path and [`OocConfig::checkpoint_every`] > 0, a segment
+//! ends at the next checkpoint iteration; the runtime is quiescent
+//! between segments, which is the consistent cut a checkpoint captures
+//! and a resumed run continues from, bitwise identically.
 
+use crate::segments;
 use converse::{ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, Mapping};
-use hetmem::{AccessMode, Memory, Topology};
+use hetmem::{AccessMode, BlockId, MemError, Memory, Topology};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use projections::TraceSummary;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Entry: halo plane delivery (plain entry method).
 pub const EP_HALO: EntryId = EntryId(0);
 /// Entry: the bandwidth-sensitive update (`entry [prefetch]`).
 pub const EP_COMPUTE: EntryId = EntryId(1);
-/// Entry: kick-off (send initial halos).
+/// Entry: kick-off of a segment (send the current iteration's halos).
 pub const EP_START: EntryId = EntryId(2);
 
 /// Messages between stencil chares.
 pub enum StencilMsg {
-    /// Kick off iteration 0.
-    Start,
+    /// Run from the chare's current iteration up to `until`, then
+    /// count `latch` down.
+    Start {
+        /// Iteration the segment stops at (exclusive).
+        until: usize,
+        /// Counted down once per chare on reaching `until`.
+        latch: Arc<CompletionLatch>,
+    },
     /// A neighbour's boundary plane for `iter`.
     Halo {
         /// Iteration the plane belongs to.
@@ -138,15 +154,15 @@ struct StencilChare {
     block: IoHandle<f64>,
     mem: Arc<Memory>,
     array: Option<ArrayId>,
-    latch: Arc<CompletionLatch>,
-    iterations: usize,
     iter: usize,
-    /// Set once EP_START has sent this chare's initial halo planes.
-    /// The first compute must not fire before then: halos can arrive
+    /// The running segment's `until` and latch: set once EP_START has
+    /// sent this chare's halo planes for `iter`, cleared on reaching
+    /// `until`. No compute fires while it is `None`: halos can arrive
     /// *before* our own Start message (the driver's send loop races
-    /// with already-running workers), and computing early would make
-    /// Start extract post-update planes for the neighbours.
-    started: bool,
+    /// with already-running workers, and neighbours that started the
+    /// next segment send its first halos), and computing early would
+    /// make Start extract post-update planes for the neighbours.
+    segment: Option<(usize, Arc<CompletionLatch>)>,
     /// Halo planes, double-buffered by iteration parity.
     halos: [Vec<Option<Vec<f64>>>; 2],
     received: [usize; 2],
@@ -300,7 +316,7 @@ impl StencilChare {
     }
 
     fn maybe_fire_compute(&mut self, ctx: &ExecCtx<'_>) {
-        if !self.started {
+        if self.segment.is_none() {
             return;
         }
         let parity = self.iter % 2;
@@ -321,8 +337,9 @@ impl Chare for StencilChare {
 
     fn execute(&mut self, entry: EntryId, msg: StencilMsg, ctx: &mut ExecCtx<'_>) {
         match (entry, msg) {
-            (EP_START, StencilMsg::Start) => {
-                assert!(!self.started, "duplicate Start");
+            (EP_START, StencilMsg::Start { until, latch }) => {
+                assert!(self.segment.is_none(), "duplicate Start");
+                assert!(self.iter < until, "empty segment ending at {until}");
                 let planes = self.block.read(|xs| {
                     self.neighbors
                         .iter()
@@ -336,13 +353,13 @@ impl Chare for StencilChare {
                         nbr,
                         EP_HALO,
                         StencilMsg::Halo {
-                            iter: 0,
+                            iter: self.iter,
                             face: face ^ 1,
                             data,
                         },
                     );
                 }
-                self.started = true;
+                self.segment = Some((until, latch));
                 self.maybe_fire_compute(ctx);
             }
             (EP_HALO, StencilMsg::Halo { iter, face, data }) => {
@@ -364,7 +381,7 @@ impl Chare for StencilChare {
                 }
             }
             (EP_COMPUTE, StencilMsg::Compute { iter }) => {
-                assert!(self.started, "compute before Start");
+                let until = self.segment.as_ref().expect("compute before Start").0;
                 assert_eq!(iter, self.iter, "compute fired out of order");
                 let parity = iter % 2;
                 for &(face, _) in &self.neighbors {
@@ -394,9 +411,10 @@ impl Chare for StencilChare {
                 }
                 self.received[parity] = 0;
                 self.iter += 1;
-                if self.iter == self.iterations {
+                if self.iter == until {
                     drop(guard);
-                    self.latch.count_down();
+                    let (_, latch) = self.segment.take().expect("segment running");
+                    latch.count_down();
                 } else {
                     self.send_halos(self.iter, ctx, guard.as_slice::<f64>());
                     drop(guard);
@@ -413,124 +431,199 @@ impl Chare for StencilChare {
     }
 }
 
-/// Run a stencil experiment and return per-block sums (debug helper
-/// used by cross-validation tests against a serial reference).
-pub fn run_stencil_block_sums(cfg: &StencilConfig) -> Vec<f64> {
-    run_stencil_inner(cfg).1
+/// A stencil run: the chare grid, its blocks and the runtime under
+/// them, driven in segments (see the [module docs](self)).
+pub struct Stencil {
+    cfg: StencilConfig,
+    ooc: OocRuntime,
+    blocks: Vec<IoHandle<f64>>,
+    array: ArrayId,
+}
+
+impl Stencil {
+    /// A fresh run: allocate and deterministically initialise every
+    /// block.
+    pub fn new(cfg: StencilConfig) -> Self {
+        let ooc = segments::build_runtime(
+            &cfg.topology,
+            cfg.faults.as_ref(),
+            cfg.pes,
+            cfg.strategy,
+            cfg.ooc,
+        );
+        let elems = cfg.block.0 * cfg.block.1 * cfg.block.2;
+        let blocks = (0..cfg.chare_count())
+            .map(|i| {
+                let h = IoHandle::new(
+                    ooc.memory(),
+                    elems,
+                    cfg.placement,
+                    cfg.ooc.hbm,
+                    cfg.ooc.ddr,
+                    format!("stencil{i}"),
+                )
+                .expect("stencil block allocation");
+                h.write(|xs| {
+                    for (j, v) in xs.iter_mut().enumerate() {
+                        *v = ((i * 31 + j * 7) % 1000) as f64 / 1000.0;
+                    }
+                });
+                h
+            })
+            .collect();
+        Self::assemble(cfg, ooc, blocks)
+    }
+
+    /// Resume from a checkpoint of a run with the same configuration:
+    /// the blocks are restored (ids `0..chare_count` in allocation
+    /// order) and the chares continue from the saved iteration. A
+    /// checkpoint with another block count, or taken after
+    /// `iterations`, is refused with [`MemError::CheckpointFailed`].
+    pub fn resume(cfg: StencilConfig, checkpoint: &Path) -> Result<Self, MemError> {
+        let ooc = segments::build_runtime(
+            &cfg.topology,
+            cfg.faults.as_ref(),
+            cfg.pes,
+            cfg.strategy,
+            cfg.ooc,
+        );
+        segments::restore(&ooc, checkpoint, cfg.chare_count(), cfg.iterations)?;
+        let elems = cfg.block.0 * cfg.block.1 * cfg.block.2;
+        let blocks = (0..cfg.chare_count())
+            .map(|i| IoHandle::attach(ooc.memory(), BlockId(i as u32), elems))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(cfg, ooc, blocks))
+    }
+
+    /// Build the chare array, every chare at the runtime's iteration.
+    fn assemble(cfg: StencilConfig, ooc: OocRuntime, blocks: Vec<IoHandle<f64>>) -> Self {
+        let n = cfg.chare_count();
+        let (cx, cy, _) = cfg.chares;
+        let (chares, bdims, compute_passes) = (cfg.chares, cfg.block, cfg.compute_passes);
+        let elems = bdims.0 * bdims.1 * bdims.2;
+        let iter = ooc.iteration() as usize;
+        let (blocks2, mem) = (blocks.clone(), Arc::clone(ooc.memory()));
+        let rt = ooc.runtime();
+        let array = rt
+            .array_builder::<StencilChare>()
+            .entry(EP_HALO, EntryOptions::default())
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .entry(EP_START, EntryOptions::default())
+            .mapping(Mapping::Block)
+            .build(n, move |i| StencilChare {
+                bdims,
+                compute_passes,
+                block: blocks2[i].clone(),
+                mem: Arc::clone(&mem),
+                array: None,
+                iter,
+                segment: None,
+                halos: [vec![None; 6], vec![None; 6]],
+                received: [0, 0],
+                neighbors: neighbors_of((i % cx, (i / cx) % cy, i / (cx * cy)), chares),
+                scratch: Vec::with_capacity(elems),
+            });
+        let arr = rt.array::<StencilChare>(array);
+        for i in 0..n {
+            arr.with_chare(i, |c| c.array = Some(array));
+        }
+        Self {
+            cfg,
+            ooc,
+            blocks,
+            array,
+        }
+    }
+
+    /// The underlying runtime (iteration counter, stats, checkpoint).
+    pub fn ooc(&self) -> &OocRuntime {
+        &self.ooc
+    }
+
+    /// The memory subsystem (fault-injection control in chaos tests).
+    pub fn memory(&self) -> &Arc<Memory> {
+        self.ooc.memory()
+    }
+
+    /// Iterations completed so far.
+    pub fn completed_iterations(&self) -> u64 {
+        self.ooc.iteration()
+    }
+
+    /// Run one iteration: a segment of length 1.
+    pub fn step(&self) {
+        self.segment(self.ooc.iteration() as usize + 1);
+    }
+
+    /// Run to `cfg.iterations`, stopping to checkpoint to `checkpoint`
+    /// every [`OocConfig::checkpoint_every`] iterations (never, if
+    /// either is unset). Returns the wall ns spent in segments, each
+    /// from its first Start send until its latch fired.
+    pub fn run(&self, checkpoint: Option<&Path>) -> Result<u64, MemError> {
+        segments::run(&self.ooc, self.cfg.iterations, checkpoint, |until| {
+            self.segment(until)
+        })
+    }
+
+    fn segment(&self, until: usize) -> u64 {
+        let rt = self.ooc.runtime();
+        segments::segment(&self.ooc, self.blocks.len(), until, |i, latch| {
+            rt.send(self.array, i, EP_START, StencilMsg::Start { until, latch });
+        })
+    }
+
+    /// Full per-block contents (bitwise comparison across runs).
+    pub fn block_contents(&self) -> Vec<Vec<f64>> {
+        self.blocks
+            .iter()
+            .map(|b| b.read(<[f64]>::to_vec))
+            .collect()
+    }
+
+    /// Stop the runtime. Also runs on drop.
+    pub fn shutdown(&self) {
+        self.ooc.shutdown();
+    }
 }
 
 /// Run a stencil experiment and return full per-block contents
 /// (cross-validation against a serial reference).
 pub fn run_stencil_blocks(cfg: &StencilConfig) -> Vec<Vec<f64>> {
-    run_stencil_inner(cfg).2
+    let run = Stencil::new(cfg.clone());
+    run.run(None)
+        .expect("a run without checkpoints cannot fail");
+    let blocks = run.block_contents();
+    run.shutdown();
+    blocks
 }
 
 /// Run a stencil experiment end to end.
 pub fn run_stencil(cfg: &StencilConfig) -> StencilReport {
-    run_stencil_inner(cfg).0
-}
-
-fn run_stencil_inner(cfg: &StencilConfig) -> (StencilReport, Vec<f64>, Vec<Vec<f64>>) {
-    let mem = match &cfg.faults {
-        Some(f) => Memory::with_faults(cfg.topology.clone(), Arc::clone(f)),
-        None => Memory::new(cfg.topology.clone()),
-    };
-    let ooc = OocRuntime::new(Arc::clone(&mem), cfg.pes, cfg.strategy, cfg.ooc);
-    let rt = ooc.runtime();
-
-    let n = cfg.chare_count();
-    let (cx, cy, _) = cfg.chares;
-    let elems = cfg.block.0 * cfg.block.1 * cfg.block.2;
-    let latch = Arc::new(CompletionLatch::new(n));
-
-    // Allocate and deterministically initialise every block.
-    let blocks: Vec<IoHandle<f64>> = (0..n)
-        .map(|i| {
-            let h = IoHandle::new(
-                &mem,
-                elems,
-                cfg.placement,
-                cfg.ooc.hbm,
-                cfg.ooc.ddr,
-                format!("stencil{i}"),
-            )
-            .expect("stencil block allocation");
-            h.write(|xs| {
-                for (j, v) in xs.iter_mut().enumerate() {
-                    *v = ((i * 31 + j * 7) % 1000) as f64 / 1000.0;
-                }
-            });
-            h
-        })
-        .collect();
-
-    let (latch2, blocks2) = (Arc::clone(&latch), blocks.clone());
-    let (mem2, cfg2) = (Arc::clone(&mem), cfg.clone());
-    let array = rt
-        .array_builder::<StencilChare>()
-        .entry(EP_HALO, EntryOptions::default())
-        .entry(EP_COMPUTE, EntryOptions::prefetch())
-        .entry(EP_START, EntryOptions::default())
-        .mapping(Mapping::Block)
-        .build(n, move |i| {
-            let coord = (i % cx, (i / cx) % cy, i / (cx * cy));
-            let neighbors = neighbors_of(coord, cfg2.chares);
-            StencilChare {
-                bdims: cfg2.block,
-                compute_passes: cfg2.compute_passes,
-                block: blocks2[i].clone(),
-                mem: Arc::clone(&mem2),
-                array: None,
-                latch: Arc::clone(&latch2),
-                iterations: cfg2.iterations,
-                iter: 0,
-                started: false,
-                halos: [vec![None; 6], vec![None; 6]],
-                received: [0, 0],
-                neighbors,
-                scratch: Vec::with_capacity(elems),
-            }
-        });
-
-    let arr = rt.array::<StencilChare>(array);
-    for i in 0..n {
-        arr.with_chare(i, |c| c.array = Some(array));
-    }
-
-    let t0 = mem.clock().now();
-    for i in 0..n {
-        rt.send(array, i, EP_START, StencilMsg::Start);
-    }
-    assert!(
-        latch.wait_timeout_ms(600_000),
-        "stencil run did not complete"
-    );
-    let total_ns = mem.clock().now().saturating_sub(t0);
-    assert!(ooc.wait_quiescence_ms(60_000), "runtime not quiescent");
-
-    let block_contents: Vec<Vec<f64>> = blocks.iter().map(|b| b.read(<[f64]>::to_vec)).collect();
-    let block_sums: Vec<f64> = block_contents.iter().map(|b| b.iter().sum()).collect();
-    let checksum: f64 = block_sums.iter().sum();
-    let stats = ooc.stats();
-    let trace = ooc.finish_trace();
+    let run = Stencil::new(cfg.clone());
+    let total_ns = run
+        .run(None)
+        .expect("a run without checkpoints cannot fail");
+    let checksum: f64 = run
+        .blocks
+        .iter()
+        .map(|b| b.read(|xs| xs.iter().sum::<f64>()))
+        .sum();
+    let stats = run.ooc.stats();
+    let trace = run.ooc.finish_trace();
     let timeline = projections::render::render_ascii(&trace, 96);
     let summary = trace.summarize();
-    let mem_stats = mem.stats();
-    ooc.shutdown();
+    let mem_stats = run.memory().stats();
+    run.shutdown();
 
-    (
-        StencilReport {
-            total_ns,
-            per_iteration_ns: total_ns as f64 / cfg.iterations as f64,
-            checksum,
-            stats,
-            summary,
-            timeline,
-            mem_stats,
-        },
-        block_sums,
-        block_contents,
-    )
+    StencilReport {
+        total_ns,
+        per_iteration_ns: total_ns as f64 / cfg.iterations as f64,
+        checksum,
+        stats,
+        summary,
+        timeline,
+        mem_stats,
+    }
 }
 
 #[cfg(test)]
@@ -630,5 +723,122 @@ mod tests {
         let elems = cfg.total_bytes() as f64 / 8.0;
         assert!(r.checksum >= 0.0);
         assert!(r.checksum <= elems); // initial values are < 1.0
+    }
+
+    fn checkpointed(cfg: StencilConfig, every: u64) -> StencilConfig {
+        StencilConfig {
+            ooc: OocConfig {
+                checkpoint_every: every,
+                ..cfg.ooc
+            },
+            ..cfg
+        }
+    }
+
+    #[test]
+    fn multi_segment_run_matches_single_segment_run() {
+        // Segments of 2, 2 and 1 iterations over a grid where every
+        // chare has several neighbours, so halos for the next segment
+        // race with the Start messages at each stop.
+        let path = crate::segments::temp_checkpoint("stencil-segments");
+        let cfg = checkpointed(
+            StencilConfig {
+                chares: (3, 3, 3),
+                iterations: 5,
+                strategy: StrategyKind::multi_io(2),
+                placement: Placement::DdrOnly,
+                ..StencilConfig::tiny()
+            },
+            2,
+        );
+        let run = Stencil::new(cfg.clone());
+        run.run(Some(&path)).unwrap();
+        assert_eq!(run.completed_iterations(), 5);
+        assert_eq!(run.ooc().stats().completed, 27 * 5);
+        assert_eq!(run.block_contents(), run_stencil_blocks(&cfg));
+        run.shutdown();
+        // The uneven last segment ends without a checkpoint.
+        let resumed = Stencil::resume(cfg, &path).unwrap();
+        assert_eq!(resumed.completed_iterations(), 4);
+        resumed.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stencil_restored_mid_run_finishes_bitwise_identical() {
+        let path = crate::segments::temp_checkpoint("stencil-midrun");
+        let base = StencilConfig {
+            iterations: 6,
+            strategy: StrategyKind::single_io(),
+            placement: Placement::DdrOnly,
+            ..StencilConfig::tiny()
+        };
+        let cfg = checkpointed(base.clone(), 2);
+
+        // Uninterrupted reference run (no checkpointing at all).
+        let reference = Stencil::new(base);
+        reference.run(None).unwrap();
+        let want = reference.block_contents();
+        reference.shutdown();
+
+        // "Crashing" run: checkpoint every 2 iterations, abandon after 3
+        // (the last checkpoint covers iterations 1-2).
+        let crashed = Stencil::new(cfg.clone());
+        for _ in 0..3 {
+            crashed.step();
+            if crashed
+                .ooc()
+                .should_checkpoint(crashed.completed_iterations())
+            {
+                crashed.ooc().checkpoint(&path).unwrap();
+            }
+        }
+        crashed.shutdown();
+        drop(crashed);
+
+        // Resume from the checkpoint and run to completion.
+        let resumed = Stencil::resume(cfg, &path).unwrap();
+        assert_eq!(resumed.completed_iterations(), 2);
+        resumed.run(Some(&path)).unwrap();
+        assert_eq!(resumed.completed_iterations(), 6);
+        assert_eq!(
+            resumed.block_contents(),
+            want,
+            "restart must be bitwise exact"
+        );
+        assert!(resumed.ooc().stats().restores >= 1);
+        resumed.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_configuration() {
+        let path = crate::segments::temp_checkpoint("stencil-mismatch");
+        let cfg = checkpointed(
+            StencilConfig {
+                iterations: 4,
+                ..StencilConfig::tiny()
+            },
+            4,
+        );
+        let run = Stencil::new(cfg.clone());
+        run.run(Some(&path)).unwrap();
+        run.shutdown();
+
+        let fewer_chares = StencilConfig {
+            chares: (1, 2, 1),
+            ..cfg.clone()
+        };
+        let fewer_iterations = StencilConfig {
+            iterations: 3,
+            ..cfg
+        };
+        for wrong in [fewer_chares, fewer_iterations] {
+            assert!(matches!(
+                Stencil::resume(wrong, &path),
+                Err(MemError::CheckpointFailed { .. })
+            ));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
