@@ -186,7 +186,8 @@ fn main() {
 
     body.push_str(
         "expectations: A1 shared queue inflates wait under one IO thread;\n\
-         A2 pool trims fetch latency; A3 node-level run queue helps imbalance;\n\
+         A2 pool saves host CPU per move, not modelled time (bench `migration`);\n\
+         A3 node-level run queue helps imbalance;\n\
          A4 throughput saturates once IO threads cover the fetch demand;\n\
          A5 cache mode pays demand-miss latency the flat-mode runtime hides;\n\
          A6 LRU keeps reused read-only blocks resident (fewer fetches).\n",

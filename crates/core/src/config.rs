@@ -1,7 +1,5 @@
 //! Configuration of the memory-aware runtime.
 
-use hetmem::{NodeId, DDR4, HBM};
-
 /// Which of the paper's scheduling strategies to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
@@ -85,7 +83,7 @@ pub enum WaitQueueTopology {
 }
 
 /// What the admission guard does with a task whose total declared
-/// dependence bytes exceed HBM capacity (minus headroom). Such a task
+/// dependence bytes exceed HBM capacity. Such a task
 /// can never be fully prefetched: without the guard it would wait in
 /// the queue forever (or panic deep in the fetch path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,13 +105,6 @@ pub enum OversizePolicy {
 /// Full configuration of the memory-aware layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OocConfig {
-    /// The fast node (MCDRAM — numa node 1 on KNL).
-    pub hbm: NodeId,
-    /// The slow node (DDR4 — numa node 0).
-    pub ddr: NodeId,
-    /// Bytes to keep free in HBM beyond what fetches strictly need
-    /// (guards the transient double-occupancy of in-flight moves).
-    pub headroom_bytes: u64,
     /// Eviction policy.
     pub eviction: EvictionPolicy,
     /// Wait-queue layout.
@@ -155,9 +146,6 @@ pub struct OocConfig {
 impl Default for OocConfig {
     fn default() -> Self {
         Self {
-            hbm: HBM,
-            ddr: DDR4,
-            headroom_bytes: 0,
             eviction: EvictionPolicy::OnComplete,
             wait_queues: WaitQueueTopology::PerPe,
             node_level_run_queue: false,
@@ -191,8 +179,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = OocConfig::default();
-        assert_eq!(c.hbm, HBM);
-        assert_eq!(c.ddr, DDR4);
         assert_eq!(c.eviction, EvictionPolicy::OnComplete);
         assert_eq!(c.wait_queues, WaitQueueTopology::PerPe);
         assert!(!c.node_level_run_queue);

@@ -20,7 +20,7 @@
 use crate::config::{EvictionPolicy, OocConfig};
 use crate::stats::StatCells;
 use converse::Dep;
-use hetmem::{MemError, Memory, MigrationEngine};
+use hetmem::{BlockId, MemError, Memory, MigrationEngine, DDR4, HBM};
 use projections::{SpanKind, Tracer};
 use std::sync::Arc;
 
@@ -112,19 +112,6 @@ impl FetchEngine {
         &self.config
     }
 
-    /// Migration statistics (fetches + evictions combined).
-    pub fn migration_stats(&self) -> hetmem::MigrationStats {
-        self.engine.stats()
-    }
-
-    /// Bytes of HBM still available under budget and headroom.
-    pub fn hbm_available(&self) -> u64 {
-        self.mem
-            .allocator(self.config.hbm)
-            .available()
-            .saturating_sub(self.config.headroom_bytes)
-    }
-
     /// Reference every dependence of a task (call before fetching).
     pub fn add_refs(&self, deps: &[Dep]) {
         for d in deps {
@@ -149,53 +136,49 @@ impl FetchEngine {
     /// evicted underneath us. Records one `Fetch` span per actual move
     /// on `tracer`.
     pub fn fetch_all(&self, deps: &[Dep], tracer: &Tracer, tag: u32) -> Result<(), FetchError> {
-        let needed: u64 = deps
-            .iter()
-            .map(|d| self.mem.registry().size_of(d.block) as u64)
-            .sum();
-        let capacity = self.hbm_task_capacity();
-        if needed > capacity {
-            return Err(FetchError::TaskTooLarge { needed, capacity });
-        }
+        self.check_fits(deps)?;
         for d in deps {
             self.ensure_in_hbm(d, tracer, tag)?;
         }
         Ok(())
     }
 
-    /// The most a single task may declare: HBM capacity minus the
-    /// configured headroom. Anything larger can never be fully
-    /// prefetched ([`FetchError::TaskTooLarge`] / the admission guard).
-    pub fn hbm_task_capacity(&self) -> u64 {
-        self.mem
-            .allocator(self.config.hbm)
-            .capacity()
-            .saturating_sub(self.config.headroom_bytes)
+    /// The oversize rule: [`FetchError::TaskTooLarge`] when a task's
+    /// declared dependences add up to more than HBM's capacity, so they
+    /// can never be resident at once. Both [`FetchEngine::fetch_all`]
+    /// and the admission guard apply it.
+    pub fn check_fits(&self, deps: &[Dep]) -> Result<(), FetchError> {
+        let registry = self.mem.registry();
+        let needed: u64 = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
+        let capacity = self.mem.allocator(HBM).capacity();
+        if needed > capacity {
+            return Err(FetchError::TaskTooLarge { needed, capacity });
+        }
+        Ok(())
     }
 
     /// Bring one dependence into HBM (§IV-B: "for any dependence that
     /// is INDDR, brings it into HBM and changes its state to INHBM").
     fn ensure_in_hbm(&self, dep: &Dep, tracer: &Tracer, tag: u32) -> Result<(), FetchError> {
         let registry = self.mem.registry();
-        let hbm = self.config.hbm;
         let mut transient_attempts: u32 = 0;
         loop {
             match registry.node_of(dep.block) {
-                Some(n) if n == hbm => return Ok(()),
+                Some(HBM) => return Ok(()),
                 None => {
                     // Another thread is moving it; wait for the verdict.
                     let t0 = self.mem.clock().now();
                     let node = registry.wait_resident(dep.block);
                     let t1 = self.mem.clock().now();
                     tracer.record(SpanKind::BlockWait, t0, t1, tag);
-                    if node == hbm {
+                    if node == HBM {
                         return Ok(());
                     }
                 }
                 Some(_) => {
                     let copy = dep.mode.reads_old_contents();
                     let t0 = self.mem.clock().now();
-                    match self.engine.migrate(dep.block, hbm, false, copy) {
+                    match self.engine.migrate(dep.block, HBM, false, copy) {
                         Ok(_) => {
                             let t1 = self.mem.clock().now();
                             tracer.record(SpanKind::Fetch, t0, t1, tag);
@@ -289,7 +272,7 @@ impl FetchEngine {
     /// or mid-move.
     pub fn force_evict(
         &self,
-        block: hetmem::BlockId,
+        block: BlockId,
         tracer: &Tracer,
         tag: u32,
     ) -> Result<(), crate::FetchError> {
@@ -301,14 +284,14 @@ impl FetchEngine {
     }
 
     /// Evict a single block if it is in HBM with refcount zero.
-    fn try_evict(&self, block: hetmem::BlockId, tracer: &Tracer, tag: u32) -> bool {
+    fn try_evict(&self, block: BlockId, tracer: &Tracer, tag: u32) -> bool {
         let registry = self.mem.registry();
-        if registry.node_of(block) != Some(self.config.hbm) || registry.refcount(block) > 0 {
+        if registry.node_of(block) != Some(HBM) || registry.refcount(block) > 0 {
             return false;
         }
         let t0 = self.mem.clock().now();
         // Evicted contents must persist: always copy.
-        match self.engine.migrate(block, self.config.ddr, true, true) {
+        match self.engine.migrate(block, DDR4, true, true) {
             Ok(_) => {
                 let t1 = self.mem.clock().now();
                 tracer.record(SpanKind::Evict, t0, t1, tag);
@@ -333,15 +316,16 @@ impl FetchEngine {
     /// true if enough space was freed.
     fn make_space_lru(&self, needed: u64, tracer: &Tracer, tag: u32) -> bool {
         let registry = self.mem.registry();
-        for block in registry.resident_on(self.config.hbm) {
-            if self.hbm_available() >= needed {
+        let hbm = self.mem.allocator(HBM);
+        for block in registry.resident_on(HBM) {
+            if hbm.available() >= needed {
                 return true;
             }
             if registry.refcount(block) == 0 {
                 self.try_evict(block, tracer, tag);
             }
         }
-        self.hbm_available() >= needed
+        hbm.available() >= needed
     }
 }
 
@@ -349,7 +333,7 @@ impl FetchEngine {
 mod tests {
     use super::*;
     use crate::config::WaitQueueTopology;
-    use hetmem::{AccessMode, Topology, VirtualClock, DDR4, HBM};
+    use hetmem::{AccessMode, Topology, VirtualClock};
     use projections::{LaneId, TraceCollector};
 
     fn setup(hbm_cap: u64) -> (Arc<Memory>, FetchEngine, Arc<Tracer>) {

@@ -45,12 +45,10 @@ impl<T: Pod> IoHandle<T> {
         mem: &Arc<Memory>,
         len: usize,
         placement: Placement,
-        hbm: NodeId,
-        ddr: NodeId,
         label: impl Into<String>,
     ) -> Result<Self, MemError> {
         let bytes = len * std::mem::size_of::<T>();
-        let buf = placement.alloc(mem, bytes, hbm, ddr)?;
+        let buf = placement.alloc(mem, bytes)?;
         let block = mem.registry().register(buf, label);
         Ok(Self {
             mem: Arc::clone(mem),
@@ -165,7 +163,7 @@ mod tests {
     #[test]
     fn handle_allocates_and_types() {
         let m = mem();
-        let h: IoHandle<f64> = IoHandle::new(&m, 256, Placement::DdrOnly, HBM, DDR4, "A").unwrap();
+        let h: IoHandle<f64> = IoHandle::new(&m, 256, Placement::DdrOnly, "A").unwrap();
         assert_eq!(h.len(), 256);
         assert_eq!(h.size_bytes(), 2048);
         assert_eq!(h.node(), Some(DDR4));
@@ -179,7 +177,7 @@ mod tests {
     #[test]
     fn dep_carries_block_and_mode() {
         let m = mem();
-        let h: IoHandle<f32> = IoHandle::new(&m, 8, Placement::DdrOnly, HBM, DDR4, "B").unwrap();
+        let h: IoHandle<f32> = IoHandle::new(&m, 8, Placement::DdrOnly, "B").unwrap();
         let d = h.dep(AccessMode::WriteOnly);
         assert_eq!(d.block, h.block());
         assert_eq!(d.mode, AccessMode::WriteOnly);
@@ -188,7 +186,7 @@ mod tests {
     #[test]
     fn clone_shares_block() {
         let m = mem();
-        let h: IoHandle<u32> = IoHandle::new(&m, 4, Placement::HbmOnly, HBM, DDR4, "C").unwrap();
+        let h: IoHandle<u32> = IoHandle::new(&m, 4, Placement::HbmOnly, "C").unwrap();
         let h2 = h.clone();
         h.write(|xs| xs[3] = 99);
         assert_eq!(h2.read(|xs| xs[3]), 99);

@@ -167,19 +167,6 @@ impl OocRuntime {
         stats
     }
 
-    /// Migration statistics from the fetch engine, if a hook is active.
-    pub fn migration_stats(&self) -> Option<hetmem::MigrationStats> {
-        self.hook.as_ref().map(|h| h.migration_stats())
-    }
-
-    /// Current wait-queue lengths (empty for baseline).
-    pub fn wait_queue_lengths(&self) -> Vec<usize> {
-        self.hook
-            .as_ref()
-            .map(|h| h.wait_queue_lengths())
-            .unwrap_or_default()
-    }
-
     /// Cache hit/miss statistics (cache-mode strategy only).
     pub fn cache_stats(&self) -> Option<crate::CacheStats> {
         self.hook.as_ref().and_then(|h| h.cache_stats())
@@ -297,7 +284,7 @@ impl OocRuntime {
         if let Some(checker) = &self.checker {
             checker.record_restart();
         }
-        hetmem::restore_into(&self.mem, &image, self.config.ddr)?;
+        hetmem::restore_into(&self.mem, &image)?;
         if let Some(hook) = &self.hook {
             hook.adopt_stats(&app.stats);
             hook.note_restore();
@@ -341,10 +328,19 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let ooc = OocRuntime::new(mem, 1, StrategyKind::Baseline, OocConfig::default());
         assert_eq!(ooc.stats(), OocStats::default());
-        assert!(ooc.migration_stats().is_none());
-        assert!(ooc.wait_queue_lengths().is_empty());
         assert!(ooc.wait_quiescence_ms(200));
         ooc.shutdown();
+    }
+
+    /// A chare whose one `[prefetch]` entry declares its block.
+    struct Touch(crate::IoHandle<f64>);
+
+    impl converse::Chare for Touch {
+        type Msg = ();
+        fn execute(&mut self, _: converse::EntryId, _: (), _: &mut converse::ExecCtx<'_>) {}
+        fn deps(&self, _: converse::EntryId, _: &()) -> Vec<converse::Dep> {
+            vec![self.0.dep(hetmem::AccessMode::ReadWrite)]
+        }
     }
 
     #[test]
@@ -352,8 +348,19 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let ooc = OocRuntime::new(mem, 2, StrategyKind::multi_io(2), OocConfig::default());
         assert_eq!(ooc.stats().intercepted, 0);
-        assert!(ooc.migration_stats().is_some());
-        assert_eq!(ooc.wait_queue_lengths(), vec![0, 0]);
+        let block = crate::IoHandle::new(ooc.memory(), 64, crate::Placement::DdrOnly, "t").unwrap();
+        let ep = converse::EntryId(0);
+        let array = ooc
+            .runtime()
+            .array_builder::<Touch>()
+            .entry(ep, converse::EntryOptions::prefetch())
+            .build(1, move |_| Touch(block.clone()));
+        ooc.runtime().send(array, 0, ep, ());
+        assert!(ooc.wait_quiescence_ms(10_000));
+        // The hook intercepted, fetched, ran and evicted the task.
+        let stats = ooc.stats();
+        assert_eq!((stats.intercepted, stats.completed), (1, 1));
+        assert_eq!((stats.fetches, stats.evictions), (1, 1));
         ooc.shutdown();
     }
 

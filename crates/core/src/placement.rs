@@ -8,7 +8,7 @@
 //! managed strategies instead allocate everything on DDR4 and let the
 //! runtime move blocks in and out of HBM.
 
-use hetmem::{MemError, Memory, NodeId};
+use hetmem::{MemError, Memory, DDR4, HBM};
 
 /// Where new application blocks are allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,23 +30,17 @@ pub enum Placement {
 
 impl Placement {
     /// Decide the node for a block of `size` bytes and allocate it.
-    pub fn alloc(
-        &self,
-        mem: &Memory,
-        size: usize,
-        hbm: NodeId,
-        ddr: NodeId,
-    ) -> Result<hetmem::AlignedBuf, MemError> {
+    pub fn alloc(&self, mem: &Memory, size: usize) -> Result<hetmem::AlignedBuf, MemError> {
         match self {
             Placement::PreferHbm { reserve } => {
-                if mem.allocator(hbm).available() >= size as u64 + reserve {
-                    mem.alloc_on_node(size, hbm)
+                if mem.allocator(HBM).available() >= size as u64 + reserve {
+                    mem.alloc_on_node(size, HBM)
                 } else {
-                    mem.alloc_on_node(size, ddr)
+                    mem.alloc_on_node(size, DDR4)
                 }
             }
-            Placement::DdrOnly => mem.alloc_on_node(size, ddr),
-            Placement::HbmOnly => mem.alloc_on_node(size, hbm),
+            Placement::DdrOnly => mem.alloc_on_node(size, DDR4),
+            Placement::HbmOnly => mem.alloc_on_node(size, HBM),
         }
     }
 
@@ -63,7 +57,7 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmem::{Topology, DDR4, HBM};
+    use hetmem::Topology;
 
     fn mem() -> std::sync::Arc<Memory> {
         Memory::new(Topology::knl_flat_scaled_with(1000, 10_000))
@@ -73,9 +67,9 @@ mod tests {
     fn prefer_hbm_fills_then_overflows() {
         let m = mem();
         let p = Placement::PreferHbm { reserve: 0 };
-        let a = p.alloc(&m, 600, HBM, DDR4).unwrap();
+        let a = p.alloc(&m, 600).unwrap();
         assert_eq!(a.node(), HBM);
-        let b = p.alloc(&m, 600, HBM, DDR4).unwrap();
+        let b = p.alloc(&m, 600).unwrap();
         assert_eq!(b.node(), DDR4, "overflow must land on DDR4");
     }
 
@@ -83,7 +77,7 @@ mod tests {
     fn prefer_hbm_respects_reserve() {
         let m = mem();
         let p = Placement::PreferHbm { reserve: 500 };
-        let a = p.alloc(&m, 600, HBM, DDR4).unwrap();
+        let a = p.alloc(&m, 600).unwrap();
         assert_eq!(a.node(), DDR4, "600+500 > 1000 so HBM is skipped");
     }
 
@@ -92,7 +86,7 @@ mod tests {
         let m = mem();
         let p = Placement::DdrOnly;
         for _ in 0..3 {
-            assert_eq!(p.alloc(&m, 100, HBM, DDR4).unwrap().node(), DDR4);
+            assert_eq!(p.alloc(&m, 100).unwrap().node(), DDR4);
         }
         assert_eq!(m.stats().nodes[HBM.index()].used_bytes, 0);
     }
@@ -101,8 +95,8 @@ mod tests {
     fn hbm_only_fails_when_full() {
         let m = mem();
         let p = Placement::HbmOnly;
-        let _a = p.alloc(&m, 1000, HBM, DDR4).unwrap();
-        assert!(p.alloc(&m, 1, HBM, DDR4).is_err());
+        let _a = p.alloc(&m, 1000).unwrap();
+        assert!(p.alloc(&m, 1).is_err());
     }
 
     #[test]

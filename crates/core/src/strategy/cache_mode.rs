@@ -139,7 +139,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         }
     }
     // Cache mode always admits: un-staged deps run from DDR4.
-    shared.admit_prepared(task);
+    shared.admit(task);
 }
 
 /// Post-processing: cached blocks stay resident; only refs drop.
@@ -161,7 +161,7 @@ mod tests {
     use crate::placement::Placement;
     use crate::strategy::OocHook;
     use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, RuntimeBuilder};
-    use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
+    use hetmem::{AccessMode, Memory, Topology};
     use std::sync::Arc;
 
     const EP: EntryId = EntryId(0);
@@ -192,17 +192,7 @@ mod tests {
             .build();
         let latch = Arc::new(CompletionLatch::new(n * rounds));
         let blocks: Vec<IoHandle<f64>> = (0..n)
-            .map(|i| {
-                IoHandle::new(
-                    &mem,
-                    block_elems,
-                    Placement::DdrOnly,
-                    HBM,
-                    DDR4,
-                    format!("c{i}"),
-                )
-                .unwrap()
-            })
+            .map(|i| IoHandle::new(&mem, block_elems, Placement::DdrOnly, format!("c{i}")).unwrap())
             .collect();
         let (l2, b2) = (Arc::clone(&latch), blocks.clone());
         let array = rt

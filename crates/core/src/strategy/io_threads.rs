@@ -263,7 +263,7 @@ fn supervise(
             continue;
         }
         let snap = shared.stats.snapshot();
-        let queued: usize = shared.waitq.lengths().iter().sum();
+        let queued = shared.waitq.len();
         let counts = (snap.admitted, snap.completed);
         if queued == 0 || counts != last_counts {
             last_counts = counts;
@@ -431,15 +431,8 @@ mod tests {
         let latch = Arc::new(CompletionLatch::new(n));
         let mut handles = Vec::new();
         for i in 0..n {
-            let h: IoHandle<f64> = IoHandle::new(
-                &mem,
-                block_elems,
-                Placement::DdrOnly,
-                HBM,
-                DDR4,
-                format!("b{i}"),
-            )
-            .unwrap();
+            let h: IoHandle<f64> =
+                IoHandle::new(&mem, block_elems, Placement::DdrOnly, format!("b{i}")).unwrap();
             h.write(|xs| xs.iter_mut().for_each(|x| *x = 2.0));
             handles.push(h);
         }

@@ -51,7 +51,7 @@ pub struct RejectedTask {
     pub entry: EntryId,
     /// Total declared dependence bytes.
     pub needed: u64,
-    /// HBM capacity minus headroom — the most a task may declare.
+    /// HBM capacity — the most a task may declare.
     pub capacity: u64,
 }
 
@@ -140,17 +140,6 @@ impl Shared {
         }
     }
 
-    /// Total declared dependence bytes of a task — the admission
-    /// guard's measure, matching `FetchEngine::fetch_all`'s own
-    /// `TaskTooLarge` arithmetic.
-    pub(crate) fn dep_bytes(&self, task: &OocTask) -> u64 {
-        let registry = self.memory().registry();
-        task.deps
-            .iter()
-            .map(|d| registry.size_of(d.block) as u64)
-            .sum()
-    }
-
     /// Refuse an oversize task under [`OversizePolicy::Reject`]: drop
     /// its message, count it, and keep a structured record. No
     /// references were taken, so nothing needs releasing; the rejected
@@ -187,15 +176,9 @@ impl Shared {
         self.admit_inner(task, true);
     }
 
-    /// Admit a task whose dependences were staged (or deliberately
-    /// bypassed) by a strategy that manages residency itself — the
-    /// cache-mode path. Refs are already held.
-    pub fn admit_prepared(&self, task: OocTask) {
-        self.admit(task);
-    }
-
-    /// Stamp and inject an admitted task (its deps are in HBM, refs
-    /// held).
+    /// Stamp and inject an admitted task. Refs are held, and its deps
+    /// are in HBM — or, on the cache-mode path, were staged or
+    /// deliberately bypassed by the strategy itself.
     fn admit(&self, task: OocTask) {
         self.admit_inner(task, false);
     }
@@ -357,16 +340,6 @@ impl OocHook {
         self.shared.checker.as_ref()
     }
 
-    /// Migration statistics (from the fetch engine).
-    pub fn migration_stats(&self) -> hetmem::MigrationStats {
-        self.shared.engine.migration_stats()
-    }
-
-    /// Current wait-queue lengths (load-imbalance diagnostics).
-    pub fn wait_queue_lengths(&self) -> Vec<usize> {
-        self.shared.waitq.lengths()
-    }
-
     /// Cache hit/miss statistics (cache-mode strategy only).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         match &self.flavour {
@@ -421,9 +394,9 @@ impl SchedulerHook for OocHook {
         // would wait forever (no eviction can make enough room).
         // Detect it here, before it enters any queue, uniformly for
         // every flavour.
-        let needed = self.shared.dep_bytes(&task);
-        let capacity = self.shared.engine.hbm_task_capacity();
-        if needed > capacity {
+        if let Err(FetchError::TaskTooLarge { needed, capacity }) =
+            self.shared.engine.check_fits(&task.deps)
+        {
             match self.shared.engine.config().oversize_policy {
                 OversizePolicy::Degrade => {
                     let tracer = self.shared.worker_tracer(pe);

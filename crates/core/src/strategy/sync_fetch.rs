@@ -141,15 +141,8 @@ mod tests {
         let latch = Arc::new(CompletionLatch::new(n));
         let mut handles = Vec::new();
         for i in 0..n {
-            let h: IoHandle<f64> = IoHandle::new(
-                &mem,
-                block_elems,
-                Placement::DdrOnly,
-                HBM,
-                DDR4,
-                format!("b{i}"),
-            )
-            .unwrap();
+            let h: IoHandle<f64> =
+                IoHandle::new(&mem, block_elems, Placement::DdrOnly, format!("b{i}")).unwrap();
             h.write(|xs| xs.iter_mut().for_each(|x| *x = 1.0));
             handles.push(h);
         }
@@ -210,7 +203,7 @@ mod tests {
             .build();
 
         let shared: IoHandle<f64> =
-            IoHandle::new(&mem, block_elems, Placement::DdrOnly, HBM, DDR4, "shared").unwrap();
+            IoHandle::new(&mem, block_elems, Placement::DdrOnly, "shared").unwrap();
         shared.write(|xs| xs.iter_mut().for_each(|x| *x = 0.5));
 
         struct Reader {

@@ -81,11 +81,6 @@ impl WaitQueues {
         self.len() == 0
     }
 
-    /// Per-queue lengths (load-imbalance diagnostics for ablation A1).
-    pub fn lengths(&self) -> Vec<usize> {
-        self.queues.iter().map(|q| q.lock().len()).collect()
-    }
-
     /// Wake the IO thread responsible for signal group `group`.
     pub fn signal(&self, group: usize) {
         let (lock, cv) = &self.signals[group % self.signals.len()];
@@ -102,21 +97,10 @@ impl WaitQueues {
         }
     }
 
-    /// Sleep until the group's signal generation moves past `seen` or
-    /// shutdown. Returns the new generation.
-    pub fn wait_signal(&self, group: usize, seen: u64) -> u64 {
-        let (lock, cv) = &self.signals[group % self.signals.len()];
-        let mut gen = lock.lock();
-        while *gen == seen && !self.is_shutdown() {
-            cv.wait(&mut gen);
-        }
-        *gen
-    }
-
-    /// Like [`WaitQueues::wait_signal`] but gives up after
-    /// `timeout_ms`. The timeout is a liveness backstop: even if a
-    /// wake-up signal is lost to a race, IO threads re-examine their
-    /// queues periodically.
+    /// Sleep until the group's signal generation moves past `seen`,
+    /// shutdown, or `timeout_ms` passes. Returns the generation then.
+    /// The timeout is a liveness backstop: even if a wake-up signal is
+    /// lost to a race, IO threads re-examine their queues periodically.
     pub fn wait_signal_timeout(&self, group: usize, seen: u64, timeout_ms: u64) -> u64 {
         let (lock, cv) = &self.signals[group % self.signals.len()];
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
@@ -167,7 +151,8 @@ mod tests {
         assert_eq!(wq.queue_count(), 4);
         wq.push(task(0, 1));
         wq.push(task(2, 2));
-        assert_eq!(wq.lengths(), vec![1, 0, 1, 0]);
+        assert_eq!(wq.len(), 2);
+        assert!(wq.pop(1).is_none() && wq.pop(3).is_none());
         assert_eq!(wq.pop(0).unwrap().env.index, 1);
         assert!(wq.pop(0).is_none());
         assert_eq!(wq.pop(2).unwrap().env.index, 2);
@@ -202,7 +187,7 @@ mod tests {
         let wq = std::sync::Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 2, 2));
         let seen = wq.signal_generation(1);
         let wq2 = std::sync::Arc::clone(&wq);
-        let h = std::thread::spawn(move || wq2.wait_signal(1, seen));
+        let h = std::thread::spawn(move || wq2.wait_signal_timeout(1, seen, 60_000));
         std::thread::sleep(std::time::Duration::from_millis(10));
         wq.signal(1);
         assert_eq!(h.join().unwrap(), seen + 1);
@@ -214,7 +199,7 @@ mod tests {
         let seen = wq.signal_generation(0);
         let wq2 = std::sync::Arc::clone(&wq);
         let h = std::thread::spawn(move || {
-            wq2.wait_signal(0, seen);
+            wq2.wait_signal_timeout(0, seen, 60_000);
             wq2.is_shutdown()
         });
         std::thread::sleep(std::time::Duration::from_millis(10));

@@ -70,7 +70,7 @@ fn checkpoint_restore_round_trip_preserves_everything() {
     let handles: Vec<IoHandle<f64>> = (0..3)
         .map(|i| {
             let h: IoHandle<f64> =
-                IoHandle::new(&mem, 512, Placement::DdrOnly, HBM, DDR4, format!("b{i}")).unwrap();
+                IoHandle::new(&mem, 512, Placement::DdrOnly, format!("b{i}")).unwrap();
             h.write(|xs| {
                 for (j, x) in xs.iter_mut().enumerate() {
                     *x = (i * 1000 + j) as f64;
@@ -135,7 +135,7 @@ fn restore_spills_hbm_blocks_that_no_longer_fit() {
         StrategyKind::SyncFetch,
         OocConfig::default(),
     );
-    let h: IoHandle<f64> = IoHandle::new(&mem, 512, Placement::HbmOnly, HBM, DDR4, "hot").unwrap();
+    let h: IoHandle<f64> = IoHandle::new(&mem, 512, Placement::HbmOnly, "hot").unwrap();
     h.write(|xs| xs.iter_mut().for_each(|x| *x = 3.25));
     assert_eq!(h.node(), Some(HBM));
     ooc.checkpoint(&path).expect("checkpoint");
@@ -199,7 +199,7 @@ fn oversize_degrades_under(kind: StrategyKind) {
     // HBM: 4 KiB + change. The task's one block: 8 KiB.
     let mem = Memory::new(Topology::knl_flat_scaled_with(4096 + 64, 1 << 24));
     let ooc = OocRuntime::new(Arc::clone(&mem), 2, kind, OocConfig::default());
-    let h: IoHandle<f64> = IoHandle::new(&mem, 1024, Placement::DdrOnly, HBM, DDR4, "big").unwrap();
+    let h: IoHandle<f64> = IoHandle::new(&mem, 1024, Placement::DdrOnly, "big").unwrap();
     h.write(|xs| xs.iter_mut().for_each(|x| *x = 1.0));
 
     run_round(&ooc, std::slice::from_ref(&h));
@@ -238,8 +238,7 @@ fn oversize_task_is_rejected_with_a_structured_record() {
     let ooc = OocRuntime::new(Arc::clone(&mem), 2, StrategyKind::single_io(), config);
     let rt = ooc.runtime();
 
-    let big: IoHandle<f64> =
-        IoHandle::new(&mem, 1024, Placement::DdrOnly, HBM, DDR4, "big").unwrap();
+    let big: IoHandle<f64> = IoHandle::new(&mem, 1024, Placement::DdrOnly, "big").unwrap();
     big.write(|xs| xs.iter_mut().for_each(|x| *x = 1.0));
     let latch = Arc::new(CompletionLatch::new(1));
     let (b2, l2) = (big.clone(), Arc::clone(&latch));
@@ -266,7 +265,7 @@ fn oversize_task_is_rejected_with_a_structured_record() {
     assert_eq!(ooc.stats().rejected_tasks, 1);
 
     // A well-sized task afterwards still runs normally.
-    let ok: IoHandle<f64> = IoHandle::new(&mem, 64, Placement::DdrOnly, HBM, DDR4, "ok").unwrap();
+    let ok: IoHandle<f64> = IoHandle::new(&mem, 64, Placement::DdrOnly, "ok").unwrap();
     ok.write(|xs| xs.iter_mut().for_each(|x| *x = 5.0));
     run_round(&ooc, std::slice::from_ref(&ok));
     ok.read(|xs| assert!(xs.iter().all(|&x| x == 10.0)));
@@ -277,7 +276,7 @@ fn oversize_task_is_rejected_with_a_structured_record() {
 fn corrupted_checkpoints_are_rejected_and_the_runtime_stays_usable() {
     let path = ckpt_path("corruption");
     let (ooc, mem) = small_hbm_runtime(StrategyKind::SyncFetch, OocConfig::default());
-    let h: IoHandle<f64> = IoHandle::new(&mem, 256, Placement::DdrOnly, HBM, DDR4, "d").unwrap();
+    let h: IoHandle<f64> = IoHandle::new(&mem, 256, Placement::DdrOnly, "d").unwrap();
     h.write(|xs| xs.iter_mut().for_each(|x| *x = 9.0));
     ooc.set_iteration(4);
     ooc.checkpoint(&path).expect("checkpoint");

@@ -10,7 +10,7 @@
 
 use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx};
 use hetcheck::{Checker, ViolationAction, ViolationKind};
-use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
+use hetmem::{AccessMode, Memory, Topology};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use std::sync::Arc;
 
@@ -34,7 +34,7 @@ fn runtime_with_checker(
 }
 
 fn handle(mem: &Arc<Memory>, label: &str) -> IoHandle<f64> {
-    IoHandle::new(mem, 64, Placement::DdrOnly, HBM, DDR4, label).expect("alloc handle")
+    IoHandle::new(mem, 64, Placement::DdrOnly, label).expect("alloc handle")
 }
 
 /// Declares its block `ReadOnly` but writes it.

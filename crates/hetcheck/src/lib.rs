@@ -12,7 +12,7 @@
 //!    clocks over lanes (PE workers, IO threads) catching conflicting
 //!    concurrent guards and evict-while-held / migrate-during-access
 //!    windows.
-//! 3. **Schedule linter** ([`lint`], offline) — replays a recorded
+//! 3. **Schedule linter** ([`lint()`], offline) — replays a recorded
 //!    [`Trace`] and checks global invariants: no fetch of a resident
 //!    block, refcounts never negative, eviction only at refcount zero,
 //!    HBM occupancy within capacity, every admitted task completed.

@@ -70,7 +70,6 @@ pub struct BandwidthRegulator {
     cursor: Mutex<TimeNs>,
     bytes_charged: AtomicU64,
     total_wait_ns: AtomicU64,
-    charges: AtomicU64,
 }
 
 impl BandwidthRegulator {
@@ -88,7 +87,6 @@ impl BandwidthRegulator {
             cursor: Mutex::new(0),
             bytes_charged: AtomicU64::new(0),
             total_wait_ns: AtomicU64::new(0),
-            charges: AtomicU64::new(0),
         }
     }
 
@@ -149,7 +147,6 @@ impl BandwidthRegulator {
             remaining -= slice;
         }
         self.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        self.charges.fetch_add(1, Ordering::Relaxed);
         self.total_wait_ns
             .fetch_add(completed_at.saturating_sub(issued_at), Ordering::Relaxed);
         ChargeOutcome {
@@ -157,30 +154,6 @@ impl BandwidthRegulator {
             issued_at,
             completed_at,
         }
-    }
-
-    /// Try to reserve `bytes` without blocking: succeeds only if the pipe
-    /// is currently idle (cursor in the past). Used by opportunistic
-    /// prefetchers that must not stall a worker.
-    pub fn try_charge(&self, bytes: u64) -> Option<ChargeOutcome> {
-        let now = self.clock.now();
-        let dur = self.service_ns(bytes, 1.0) + self.overhead_ns;
-        {
-            let mut cursor = self.cursor.lock();
-            if *cursor > now {
-                return None;
-            }
-            *cursor = now + dur;
-        }
-        self.clock.sleep_until(now + dur);
-        self.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        self.charges.fetch_add(1, Ordering::Relaxed);
-        self.total_wait_ns.fetch_add(dur, Ordering::Relaxed);
-        Some(ChargeOutcome {
-            bytes,
-            issued_at: now,
-            completed_at: now + dur,
-        })
     }
 
     /// Total bytes charged so far.
@@ -191,11 +164,6 @@ impl BandwidthRegulator {
     /// Total time callers spent blocked in charges (ns).
     pub fn total_wait_ns(&self) -> u64 {
         self.total_wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Number of charges issued.
-    pub fn charge_count(&self) -> u64 {
-        self.charges.load(Ordering::Relaxed)
     }
 }
 
@@ -286,18 +254,6 @@ mod tests {
         }
         assert!(clock.now() >= 8_000_000, "clock={}", clock.now());
         assert_eq!(r.bytes_charged(), 8_000_000);
-    }
-
-    #[test]
-    fn try_charge_fails_when_pipe_busy() {
-        let clock = Arc::new(VirtualClock::new());
-        let r = BandwidthRegulator::new(1_000_000_000, 1 << 20, clock.clone());
-        // Reserve the pipe far into the future without sleeping.
-        *r.cursor.lock() = 10_000;
-        assert!(r.try_charge(100).is_none());
-        clock.advance_to(10_001);
-        let out = r.try_charge(100).expect("pipe idle after advance");
-        assert_eq!(out.duration_ns(), 100);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Block-granular checkpoint images: the on-disk persistence layer.
 //!
-//! The checkpoint granule is the [`BlockId`] — the same unit the
-//! runtime fetches, evicts and reference-counts (DOLMA's argument:
-//! object/block granularity is the natural persistence unit for
-//! runtime-managed heterogeneous memory). A checkpoint image captures,
+//! The checkpoint granule is the [`BlockId`](crate::BlockId) — the same
+//! unit the runtime fetches, evicts and reference-counts (DOLMA's
+//! argument: object/block granularity is the natural persistence unit
+//! for runtime-managed heterogeneous memory). A checkpoint image captures,
 //! for every registered block, its payload bytes, the tier it was
 //! resident on, its refcount and label, plus an opaque
 //! application/runtime section supplied by the caller (iteration
@@ -32,7 +32,7 @@
 
 use crate::block::AccessMode;
 use crate::error::MemError;
-use crate::node::NodeId;
+use crate::node::{NodeId, DDR4, HBM};
 use crate::Memory;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -121,7 +121,7 @@ pub struct RestoreSummary {
     /// Total payload bytes restored.
     pub payload_bytes: u64,
     /// Blocks that could not be re-admitted to their checkpointed tier
-    /// (HBM full) and were spilled to the fallback node instead.
+    /// (HBM full) and were spilled to DDR4 instead.
     pub spilled: usize,
 }
 
@@ -248,6 +248,12 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointImage, MemError> {
                 record.id
             )));
         }
+        if record.node > HBM.raw() {
+            return Err(corrupt(format!(
+                "blk{i} names node {}, but memory has only DDR4 (0) and HBM (1)",
+                record.node
+            )));
+        }
         let end = offset
             .checked_add(record.size)
             .filter(|&e| e <= raw.len())
@@ -285,14 +291,10 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointImage, MemError> {
 /// The registry must be empty: block ids are allocated sequentially,
 /// and re-registering in ascending saved-id order is what reproduces
 /// the checkpointed ids exactly. Each block is re-admitted to the tier
-/// it was checkpointed on; when that tier's budget is exhausted
-/// (HBM shrank, or headroom changed) the block spills to `spill`
-/// instead — the same degraded-placement rule the admission path uses.
-pub fn restore_into(
-    mem: &Memory,
-    image: &CheckpointImage,
-    spill: NodeId,
-) -> Result<RestoreSummary, MemError> {
+/// it was checkpointed on; when that tier's budget is exhausted (HBM
+/// shrank) the block spills to [`DDR4`] instead — the same
+/// degraded-placement rule the admission path uses.
+pub fn restore_into(mem: &Memory, image: &CheckpointImage) -> Result<RestoreSummary, MemError> {
     let registry = mem.registry();
     if !registry.is_empty() {
         return Err(MemError::CheckpointFailed {
@@ -306,7 +308,7 @@ pub fn restore_into(
     let mut payload_bytes = 0u64;
     for (record, payload) in &image.blocks {
         let preferred = NodeId::new(record.node);
-        let (mut buf, node) = alloc_with_spill(mem, payload.len(), preferred, spill)?;
+        let (mut buf, node) = alloc_with_spill(mem, payload.len(), preferred)?;
         if node != preferred {
             spilled += 1;
         }
@@ -332,21 +334,20 @@ pub fn restore_into(
     })
 }
 
-/// Allocate `size` bytes on `preferred`, spilling to `spill` when the
+/// Allocate `size` bytes on `preferred`, spilling to DDR4 when the
 /// preferred tier's budget is exhausted. Transient (fault-injected)
 /// allocation failures are retried a bounded number of times.
 fn alloc_with_spill(
     mem: &Memory,
     size: usize,
     preferred: NodeId,
-    spill: NodeId,
 ) -> Result<(crate::AlignedBuf, NodeId), MemError> {
     let mut node = preferred;
     let mut transient = 0u32;
     loop {
         match mem.alloc_on_node(size, node) {
             Ok(buf) => return Ok((buf, node)),
-            Err(MemError::CapacityExceeded { .. }) if node != spill => node = spill,
+            Err(MemError::CapacityExceeded { .. }) if node != DDR4 => node = DDR4,
             Err(e) if e.is_transient() && transient < RESTORE_ALLOC_RETRIES => {
                 transient += 1;
             }
@@ -362,7 +363,6 @@ fn alloc_with_spill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{DDR4, HBM};
     use crate::topology::Topology;
 
     fn mem_with(hbm: u64, ddr: u64) -> std::sync::Arc<Memory> {
@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(image.blocks.len(), 3);
 
         let fresh = mem_with(1 << 20, 1 << 22);
-        let restored = restore_into(&fresh, &image, DDR4).unwrap();
+        let restored = restore_into(&fresh, &image).unwrap();
         assert_eq!(restored.blocks, 3);
         assert_eq!(restored.spilled, 0);
         for (i, &id) in ids.iter().enumerate() {
@@ -437,7 +437,7 @@ mod tests {
 
         // The new node only fits one of the two HBM blocks.
         let small = mem_with(80 * 1024, 1 << 22);
-        let restored = restore_into(&small, &image, DDR4).unwrap();
+        let restored = restore_into(&small, &image).unwrap();
         assert_eq!(restored.blocks, 2);
         assert_eq!(restored.spilled, 1);
         assert_eq!(small.registry().resident_on(HBM).len(), 1);
@@ -452,7 +452,7 @@ mod tests {
         let path = tmp_path("nonempty");
         write_checkpoint(&mem, &path, "").unwrap();
         let image = read_checkpoint(&path).unwrap();
-        let err = restore_into(&mem, &image, DDR4).unwrap_err();
+        let err = restore_into(&mem, &image).unwrap_err();
         assert!(matches!(err, MemError::CheckpointFailed { .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -488,6 +488,25 @@ mod tests {
         let err = read_checkpoint(&path).unwrap_err();
         assert!(
             matches!(err, MemError::CheckpointCorrupted { ref detail } if detail.contains("checksum")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unknown_node_is_rejected() {
+        let mem = mem_with(1 << 20, 1 << 22);
+        fill(&mem, &[(256, HBM)]);
+        let path = tmp_path("node");
+        write_checkpoint(&mem, &path, "").unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        let field = b"\"node\":1";
+        let at = raw.windows(field.len()).position(|w| w == field).unwrap();
+        raw[at + field.len() - 1] = b'7';
+        std::fs::write(&path, &raw).unwrap();
+        let err = read_checkpoint(&path).unwrap_err();
+        assert!(
+            matches!(err, MemError::CheckpointCorrupted { ref detail } if detail.contains("node 7")),
             "{err}"
         );
         std::fs::remove_file(&path).ok();

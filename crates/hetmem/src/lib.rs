@@ -5,7 +5,9 @@
 //! Heterogeneity-Aware Runtime System for Bandwidth-Sensitive HPC
 //! Applications"* (IPDPSW 2017): a small, fast MCDRAM ("HBM", numa node 1)
 //! next to a large, slow DDR4 (numa node 0), with `libnuma`-style
-//! allocation and `memcpy`-based migration between the two.
+//! allocation and `memcpy`-based migration between the two. A [`Memory`]
+//! always has exactly these two nodes, named by the constants [`DDR4`]
+//! and [`HBM`]; the runtime layers above use the constants directly.
 //!
 //! Since no KNL (or dual-NUMA machine) is assumed, the two properties the
 //! paper's runtime exploits are *enforced in software*:
@@ -29,8 +31,14 @@
 //! * [`MigrationEngine`] — the paper's three-step move: allocate on the
 //!   destination node, charged `memcpy`, free the source;
 //! * [`MemoryPool`] — the "memory pool in each memory type" optimisation
-//!   the paper leaves as future work (§IV-C), used by the ablation
-//!   benchmarks.
+//!   the paper leaves as future work (§IV-C), used by ablation A2;
+//! * [`write_checkpoint`] / [`read_checkpoint`] / [`restore_into`] —
+//!   block-granular checkpoint images;
+//! * [`FaultInjector`] — seeded fault injection at allocation and
+//!   migration, counted in [`FaultStats`].
+//!
+//! Traffic and occupancy are reported per node by [`Memory::stats`];
+//! the migration engine keeps no counters of its own.
 //!
 //! All time handling goes through the [`Clock`] trait so that unit and
 //! property tests can run against a deterministic [`VirtualClock`].
@@ -60,8 +68,8 @@ pub use checkpoint::{
 pub use clock::{Clock, MonotonicClock, TimeNs, VirtualClock};
 pub use error::MemError;
 pub use faults::{FaultAction, FaultInjector, FaultStats, NoFaults, SeededFaults};
-pub use migrate::{MigrationEngine, MigrationStats};
-pub use node::{MemKind, NodeId, DDR4, HBM};
+pub use migrate::MigrationEngine;
+pub use node::{NodeId, DDR4, HBM};
 pub use pool::MemoryPool;
 pub use stats::{MemStats, NodeStats};
 pub use topology::{NodeSpec, Topology};

@@ -23,52 +23,18 @@ use crate::faults::FaultAction;
 use crate::node::NodeId;
 use crate::pool::MemoryPool;
 use crate::Memory;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Aggregate migration statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Completed migrations.
-    pub migrations: u64,
-    /// Total payload bytes moved.
-    pub bytes_moved: u64,
-    /// Total time spent inside `migrate` (ns).
-    pub total_ns: u64,
-    /// Migrations that failed because the destination was full.
-    pub failed_capacity: u64,
-    /// Migrations that failed transiently (injected faults); these are
-    /// retryable, unlike `failed_capacity`.
-    pub failed_transient: u64,
-    /// Total injected transfer-latency-spike time (ns).
-    pub fault_delay_ns: u64,
-}
-
-#[derive(Debug, Default)]
-struct StatCells {
-    migrations: AtomicU64,
-    bytes_moved: AtomicU64,
-    total_ns: AtomicU64,
-    failed_capacity: AtomicU64,
-    failed_transient: AtomicU64,
-    fault_delay_ns: AtomicU64,
-}
 
 /// Moves registered blocks between memory nodes.
 pub struct MigrationEngine {
     mem: Arc<Memory>,
     pools: Option<Vec<MemoryPool>>,
-    stats: StatCells,
 }
 
 impl MigrationEngine {
     /// An engine that allocates destination buffers directly.
     pub fn new(mem: Arc<Memory>) -> Self {
-        Self {
-            mem,
-            pools: None,
-            stats: StatCells::default(),
-        }
+        Self { mem, pools: None }
     }
 
     /// An engine that recycles destination buffers through per-node
@@ -78,7 +44,6 @@ impl MigrationEngine {
         Self {
             mem,
             pools: Some(pools),
-            stats: StatCells::default(),
         }
     }
 
@@ -109,12 +74,8 @@ impl MigrationEngine {
         // a failed attempt leaves the block exactly where it was.
         match self.mem.faults().on_migration(id, dst) {
             FaultAction::Proceed => {}
-            FaultAction::Delay(ns) => {
-                self.stats.fault_delay_ns.fetch_add(ns, Ordering::Relaxed);
-                self.mem.clock().sleep(ns);
-            }
+            FaultAction::Delay(ns) => self.mem.clock().sleep(ns),
             FaultAction::Fail => {
-                self.stats.failed_transient.fetch_add(1, Ordering::Relaxed);
                 return Err(MemError::Transient {
                     op: "migrate",
                     block: Some(id.0 as u64),
@@ -127,15 +88,9 @@ impl MigrationEngine {
         let size = src_buf.len();
 
         // Step 1: create space in the destination memory.
-        let dst_buf = self.acquire_dst(size, dst);
-        let mut dst_buf = match dst_buf {
+        let mut dst_buf = match self.acquire_dst(size, dst) {
             Ok(b) => b,
             Err(e) => {
-                if e.is_transient() {
-                    self.stats.failed_transient.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.stats.failed_capacity.fetch_add(1, Ordering::Relaxed);
-                }
                 registry.abort_move(id, src_buf);
                 return Err(e);
             }
@@ -162,22 +117,30 @@ impl MigrationEngine {
 
         registry.complete_move(id, dst_buf);
 
-        let dt = self.mem.clock().now().saturating_sub(t0);
-        self.stats.migrations.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_moved
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.stats.total_ns.fetch_add(dt, Ordering::Relaxed);
-        Ok(dt)
+        Ok(self.mem.clock().now().saturating_sub(t0))
     }
 
+    /// A `size`-byte buffer on `dst`: a pooled one of exactly that size
+    /// if there is one, else a fresh allocation. Pooled buffers keep
+    /// their budget reserved, so when `dst` is out of capacity the pool
+    /// is drained (returning the budget of every retired buffer of any
+    /// size) and the allocation is tried once more. A transient fault
+    /// does not drain the pool.
     fn acquire_dst(&self, size: usize, dst: NodeId) -> Result<crate::alloc::AlignedBuf, MemError> {
-        if let Some(pools) = &self.pools {
-            if let Some(buf) = pools[dst.index()].take(size) {
-                return Ok(buf);
-            }
+        let Some(pools) = &self.pools else {
+            return self.mem.alloc_on_node(size, dst);
+        };
+        let pool = &pools[dst.index()];
+        if let Some(buf) = pool.take(size) {
+            return Ok(buf);
         }
-        self.mem.alloc_on_node(size, dst)
+        match self.mem.alloc_on_node(size, dst) {
+            Err(MemError::CapacityExceeded { .. }) if pool.pooled() > 0 => {
+                pool.drain();
+                self.mem.alloc_on_node(size, dst)
+            }
+            result => result,
+        }
     }
 
     fn release_src(&self, buf: crate::alloc::AlignedBuf) {
@@ -185,18 +148,6 @@ impl MigrationEngine {
             pools[buf.node().index()].put(buf);
         } else {
             drop(buf);
-        }
-    }
-
-    /// Snapshot of migration statistics.
-    pub fn stats(&self) -> MigrationStats {
-        MigrationStats {
-            migrations: self.stats.migrations.load(Ordering::Relaxed),
-            bytes_moved: self.stats.bytes_moved.load(Ordering::Relaxed),
-            total_ns: self.stats.total_ns.load(Ordering::Relaxed),
-            failed_capacity: self.stats.failed_capacity.load(Ordering::Relaxed),
-            failed_transient: self.stats.failed_transient.load(Ordering::Relaxed),
-            fault_delay_ns: self.stats.fault_delay_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -232,9 +183,6 @@ mod tests {
         assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 1024);
         let g = mem.registry().access(id, AccessMode::ReadOnly);
         assert_eq!(g.bytes()[123], 7);
-        let s = engine.stats();
-        assert_eq!(s.migrations, 1);
-        assert_eq!(s.bytes_moved, 1024);
     }
 
     #[test]
@@ -278,7 +226,6 @@ mod tests {
         assert!(matches!(err, MemError::CapacityExceeded { .. }));
         // Residency restored; block still usable.
         assert_eq!(mem.registry().node_of(id), Some(DDR4));
-        assert_eq!(engine.stats().failed_capacity, 1);
         drop(hog);
         assert!(engine.migrate(id, HBM, true, true).is_ok());
     }
@@ -316,16 +263,13 @@ mod tests {
 
         let err = engine.migrate(id, HBM, true, true).unwrap_err();
         assert!(err.is_transient());
-        // Residency untouched, contents intact, stats attribute the
-        // failure to the transient bucket, not capacity.
+        // Residency untouched, contents intact, nothing allocated on
+        // the destination, and the injector counted the failure.
         assert_eq!(mem.registry().node_of(id), Some(DDR4));
         let g = mem.registry().access(id, AccessMode::ReadOnly);
         assert_eq!(g.bytes()[9], 42);
         drop(g);
-        let s = engine.stats();
-        assert_eq!(s.failed_transient, 1);
-        assert_eq!(s.failed_capacity, 0);
-        assert_eq!(s.migrations, 0);
+        assert_eq!(mem.stats().nodes[HBM.index()].alloc_count, 0);
         assert_eq!(faults.stats().migration_failures, 1);
     }
 
@@ -336,14 +280,15 @@ mod tests {
             NodeSpec::new("HBM", 1 << 16, 4_000_000_000),
         ]);
         let faults = Arc::new(crate::SeededFaults::new(5).with_latency_spike(1.0, 1_000_000));
-        let mem = Memory::with_clock_and_faults(topo, Arc::new(VirtualClock::new()), faults);
+        let mem =
+            Memory::with_clock_and_faults(topo, Arc::new(VirtualClock::new()), faults.clone());
         let engine = mem.migration_engine();
         let buf = mem.alloc_on_node(1024, DDR4).unwrap();
         let id = mem.registry().register(buf, "m");
         let dt = engine.migrate(id, HBM, true, true).unwrap();
         assert!(dt >= 1_000_000, "spike not charged: dt={dt}");
         assert_eq!(mem.registry().node_of(id), Some(HBM));
-        assert_eq!(engine.stats().fault_delay_ns, 1_000_000);
+        assert_eq!(faults.stats().delay_ns, 1_000_000);
     }
 
     #[test]
@@ -360,5 +305,72 @@ mod tests {
         engine.migrate(id, HBM, true, true).unwrap();
         let allocs_after = mem.stats().nodes[HBM.index()].alloc_count;
         assert_eq!(allocs_before, allocs_after);
+    }
+
+    #[test]
+    fn pooled_engine_drains_pool_when_destination_full() {
+        // An 8 KiB HBM: a 4 KiB block goes in and back out, leaving its
+        // HBM buffer in the pool. An 8 KiB block must still fit: the
+        // pooled buffer's budget is returned rather than stranded.
+        let topo = Topology::new(vec![
+            NodeSpec::new("DDR4", 1 << 20, 1_000_000_000),
+            NodeSpec::new("HBM", 8 << 10, 4_000_000_000),
+        ]);
+        let mem = Memory::with_clock(topo, Arc::new(VirtualClock::new()));
+        let engine = MigrationEngine::with_pools(Arc::clone(&mem));
+        let small = mem
+            .registry()
+            .register(mem.alloc_on_node(4 << 10, DDR4).unwrap(), "s");
+        engine.migrate(small, HBM, true, true).unwrap();
+        engine.migrate(small, DDR4, true, true).unwrap();
+        let mut buf = mem.alloc_on_node(8 << 10, DDR4).unwrap();
+        buf.as_mut_slice()[8191] = 3;
+        let big = mem.registry().register(buf, "b");
+        engine.migrate(big, HBM, true, true).unwrap();
+        assert_eq!(mem.registry().node_of(big), Some(HBM));
+        assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 8 << 10);
+        let g = mem.registry().access(big, AccessMode::ReadOnly);
+        assert_eq!(g.bytes()[8191], 3);
+    }
+
+    #[test]
+    fn transient_alloc_fault_does_not_drain_the_pool() {
+        #[derive(Debug, Default)]
+        struct FailAllocs(std::sync::atomic::AtomicBool);
+        impl FaultInjector for FailAllocs {
+            fn on_alloc(&self, _node: NodeId, _size: usize) -> FaultAction {
+                if self.0.load(std::sync::atomic::Ordering::Relaxed) {
+                    FaultAction::Fail
+                } else {
+                    FaultAction::Proceed
+                }
+            }
+        }
+        let topo = Topology::new(vec![
+            NodeSpec::new("DDR4", 1 << 20, 1_000_000_000),
+            NodeSpec::new("HBM", 8 << 10, 4_000_000_000),
+        ]);
+        let faults = Arc::new(FailAllocs::default());
+        let mem =
+            Memory::with_clock_and_faults(topo, Arc::new(VirtualClock::new()), faults.clone());
+        let engine = MigrationEngine::with_pools(Arc::clone(&mem));
+        let small = mem
+            .registry()
+            .register(mem.alloc_on_node(4 << 10, DDR4).unwrap(), "s");
+        engine.migrate(small, HBM, true, true).unwrap();
+        engine.migrate(small, DDR4, true, true).unwrap();
+        let big = mem
+            .registry()
+            .register(mem.alloc_on_node(8 << 10, DDR4).unwrap(), "b");
+        faults.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(engine
+            .migrate(big, HBM, true, true)
+            .unwrap_err()
+            .is_transient());
+        // The pooled 4 KiB HBM buffer still holds its budget.
+        assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 4 << 10);
+        faults.0.store(false, std::sync::atomic::Ordering::Relaxed);
+        engine.migrate(big, HBM, true, true).unwrap();
+        assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 8 << 10);
     }
 }

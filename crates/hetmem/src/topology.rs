@@ -1,5 +1,5 @@
-//! Topology descriptions: how many memory nodes, with what capacity and
-//! bandwidth.
+//! Topology descriptions: the capacity and bandwidth of the two memory
+//! nodes, [`DDR4`] (node 0) and [`HBM`] (node 1).
 //!
 //! Two presets matter for the reproduction:
 //!
@@ -13,7 +13,7 @@
 //!   bandwidth so that the threaded runtime regenerates every figure in
 //!   wall-clock seconds on a laptop.
 
-use crate::node::NodeId;
+use crate::node::{NodeId, DDR4, HBM};
 use serde::{Deserialize, Serialize};
 
 /// Description of a single memory node.
@@ -50,8 +50,8 @@ impl NodeSpec {
     }
 }
 
-/// A full memory topology: an ordered list of nodes (index = NUMA node
-/// number) plus model-wide knobs.
+/// A full memory topology: the two nodes in NUMA-number order (DDR4,
+/// then HBM) plus model-wide knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<NodeSpec>,
@@ -76,9 +76,13 @@ pub const MIB: u64 = 1024 * 1024;
 pub const GIB: u64 = 1024 * MIB;
 
 impl Topology {
-    /// Build a topology from explicit node specs.
+    /// Build a topology from explicit node specs: DDR4 first, then HBM.
     pub fn new(nodes: Vec<NodeSpec>) -> Self {
-        assert!(!nodes.is_empty(), "topology needs at least one node");
+        assert_eq!(
+            nodes.len(),
+            2,
+            "topology needs exactly two nodes: DDR4, HBM"
+        );
         Self {
             nodes,
             slice_bytes: MIB,
@@ -126,18 +130,9 @@ impl Topology {
     /// bandwidth model); used by experiments that sweep capacity.
     pub fn knl_flat_scaled_with(hbm_capacity: u64, ddr_capacity: u64) -> Self {
         let mut t = Self::knl_flat_scaled();
-        t.nodes[0].capacity_bytes = ddr_capacity;
-        t.nodes[1].capacity_bytes = hbm_capacity;
+        t.nodes[DDR4.index()].capacity_bytes = ddr_capacity;
+        t.nodes[HBM.index()].capacity_bytes = hbm_capacity;
         t
-    }
-
-    /// Uniform-bandwidth topology (control case: no heterogeneity).
-    pub fn uniform(nodes: usize, capacity_bytes: u64, bandwidth: u64) -> Self {
-        Self::new(
-            (0..nodes)
-                .map(|i| NodeSpec::new(&format!("node{i}"), capacity_bytes, bandwidth))
-                .collect(),
-        )
     }
 
     /// Node specs in NUMA-number order.
@@ -193,7 +188,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{DDR4, HBM};
 
     #[test]
     fn paper_topology_matches_section_iii() {
@@ -220,10 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_topology_has_no_heterogeneity() {
-        let t = Topology::uniform(3, GIB, 10 * GIB);
-        assert_eq!(t.nodes().len(), 3);
-        assert_eq!(t.bandwidth_ratio(NodeId::new(0), NodeId::new(2)), 1.0);
+    #[should_panic(expected = "exactly two nodes")]
+    fn topology_needs_exactly_two_nodes() {
+        let _ = Topology::new(vec![NodeSpec::new("DDR4", GIB, GIB)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Blocked matrix multiplication over a 2-D chare grid — §V-B.
 //!
 //! Matrices A, B and C (N×N, N = grid·block) are split into
-//! `grid × grid` square blocks. Chare (i,j) owns C[i][j]; its single
+//! `grid × grid` square blocks. Chare (i,j) owns `C[i][j]`; its single
 //! `[prefetch]` entry method depends on its whole A block-row
 //! (`readonly`), whole B block-column (`readonly`) and C (`readwrite`),
 //! and computes `C[i][j] = Σ_k A[i][k]·B[k][j]` with one blocked dgemm
@@ -187,15 +187,9 @@ fn make_blocks(
     (0..g * g)
         .map(|idx| {
             let (bi, bj) = (idx / g, idx % g);
-            let h: IoHandle<f64> = IoHandle::new(
-                mem,
-                bs * bs,
-                cfg.placement,
-                cfg.ooc.hbm,
-                cfg.ooc.ddr,
-                format!("{name}[{bi}][{bj}]"),
-            )
-            .expect("matrix block allocation");
+            let h: IoHandle<f64> =
+                IoHandle::new(mem, bs * bs, cfg.placement, format!("{name}[{bi}][{bj}]"))
+                    .expect("matrix block allocation");
             h.write(|xs| {
                 for r in 0..bs {
                     for c in 0..bs {

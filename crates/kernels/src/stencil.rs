@@ -454,15 +454,8 @@ impl Stencil {
         let elems = cfg.block.0 * cfg.block.1 * cfg.block.2;
         let blocks = (0..cfg.chare_count())
             .map(|i| {
-                let h = IoHandle::new(
-                    ooc.memory(),
-                    elems,
-                    cfg.placement,
-                    cfg.ooc.hbm,
-                    cfg.ooc.ddr,
-                    format!("stencil{i}"),
-                )
-                .expect("stencil block allocation");
+                let h = IoHandle::new(ooc.memory(), elems, cfg.placement, format!("stencil{i}"))
+                    .expect("stencil block allocation");
                 h.write(|xs| {
                     for (j, v) in xs.iter_mut().enumerate() {
                         *v = ((i * 31 + j * 7) % 1000) as f64 / 1000.0;

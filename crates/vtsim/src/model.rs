@@ -118,7 +118,7 @@ pub struct SimConfig {
     pub strategy: SimStrategy,
     /// Single-thread memcpy rate for fetch/evict copies (bytes/sec).
     /// One slow core cannot saturate aggregate bandwidth (the paper's
-    /// ref. [11]); `None` disables the cap.
+    /// ref. \[11\]); `None` disables the cap.
     pub copy_thread_rate: Option<u64>,
 }
 

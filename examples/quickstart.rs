@@ -10,7 +10,7 @@
 
 use hetrt::converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx};
 use hetrt::core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
-use hetrt::hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
+use hetrt::hetmem::{AccessMode, Memory, Topology};
 use std::sync::Arc;
 
 const EP_SQUARE: EntryId = EntryId(0);
@@ -74,7 +74,7 @@ fn run(strategy: StrategyKind, placement: Placement) -> u64 {
     let latch = Arc::new(CompletionLatch::new(n));
     let blocks: Vec<IoHandle<f64>> = (0..n)
         .map(|i| {
-            let h = IoHandle::new(&mem, BLOCK_ELEMS, placement, HBM, DDR4, format!("blk{i}"))
+            let h = IoHandle::new(&mem, BLOCK_ELEMS, placement, format!("blk{i}"))
                 .expect("allocate block");
             h.write(|xs| xs.iter_mut().for_each(|x| *x = 1.0 / (i + 2) as f64));
             h

@@ -8,7 +8,7 @@
 //!   budgets, bandwidth regulators, block registry, migration engine);
 //! * [`converse`] — the message-driven execution substrate (PEs, chare
 //!   arrays, per-PE schedulers, quiescence);
-//! * [`core`](hetrt_core) — the paper's contribution: prefetch/evict
+//! * [`core`] — the paper's contribution: prefetch/evict
 //!   strategies over the two substrates;
 //! * [`hetcheck`] — dynamic/offline analysis: dependence-conformance
 //!   sanitizer, block-level race detector, schedule linter (see
