@@ -245,22 +245,12 @@ impl Runtime {
         self.queues[pe].push(env);
     }
 
-    /// Number of envelopes queued on a PE's run queue.
-    pub fn queue_len(&self, pe: usize) -> usize {
-        self.queues[pe].len()
-    }
-
     /// The PE with the shortest run queue (the paper's planned
     /// "node-level run queue" routes admitted tasks here).
     pub fn least_loaded_pe(&self) -> usize {
         (0..self.pes)
             .min_by_key(|&pe| self.queues[pe].len())
             .unwrap_or(0)
-    }
-
-    /// Number of chares in an array.
-    pub fn array_len(&self, array: ArrayId) -> usize {
-        self.dispatch(array).count()
     }
 
     /// Home PE of a chare.

@@ -96,7 +96,8 @@ pub enum OversizePolicy {
     Degrade,
     /// Refuse the task: drop the message, count it in
     /// [`crate::OocStats::rejected_tasks`] and record a structured
-    /// [`crate::strategy::RejectedTask`] retrievable from the hook.
+    /// [`crate::RejectedTask`] retrievable via
+    /// [`crate::OocRuntime::rejected_tasks`].
     /// The run continues without the task (its completion latch, if
     /// any, will not fire for it).
     Reject,
@@ -116,22 +117,6 @@ pub struct OocConfig {
     /// Recycle migration buffers through per-node memory pools (the
     /// paper's §IV-C future-work optimisation — ablation A2).
     pub use_memory_pool: bool,
-    /// How many times a fetch retries a transiently-failed migration
-    /// (see [`hetmem::MemError::Transient`]) before the task gives up
-    /// on HBM and runs degraded from DDR4.
-    pub max_fetch_retries: u32,
-    /// Base delay in nanoseconds for exponential backoff between
-    /// transient-fault retries: retry *n* waits `backoff_base << n`
-    /// (capped — see [`crate::engine::backoff_delay_ns`]).
-    pub backoff_base: u64,
-    /// Wait-queue stall deadline in milliseconds: if queued tasks make
-    /// no progress for this long, the IO-thread watchdog drains them in
-    /// degraded mode instead of letting the run wedge. 0 disables the
-    /// watchdog.
-    pub watchdog_stall_ms: u64,
-    /// How many times a crashed IO thread may be respawned before its
-    /// queues fall back to the watchdog's degraded drain.
-    pub io_restart_budget: u32,
     /// What to do with a task whose declared working set can never fit
     /// in HBM (see [`OversizePolicy`]).
     pub oversize_policy: OversizePolicy,
@@ -150,10 +135,6 @@ impl Default for OocConfig {
             wait_queues: WaitQueueTopology::PerPe,
             node_level_run_queue: false,
             use_memory_pool: false,
-            max_fetch_retries: 4,
-            backoff_base: 10_000, // 10 µs
-            watchdog_stall_ms: 1_000,
-            io_restart_budget: 2,
             oversize_policy: OversizePolicy::Degrade,
             checkpoint_every: 0,
         }
@@ -183,10 +164,6 @@ mod tests {
         assert_eq!(c.wait_queues, WaitQueueTopology::PerPe);
         assert!(!c.node_level_run_queue);
         assert!(!c.use_memory_pool);
-        assert!(c.max_fetch_retries > 0);
-        assert!(c.backoff_base > 0);
-        assert!(c.watchdog_stall_ms > 0);
-        assert!(c.io_restart_budget > 0);
         assert_eq!(c.oversize_policy, OversizePolicy::Degrade);
         assert_eq!(c.checkpoint_every, 0, "periodic checkpoints are opt-in");
     }

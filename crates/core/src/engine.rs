@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// Why a fetch could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FetchError {
+pub(crate) enum FetchError {
     /// HBM has no room even after permitted evictions; retry after a
     /// task completes and frees space.
     NoSpace,
@@ -38,9 +38,9 @@ pub enum FetchError {
         /// The HBM capacity budget.
         capacity: u64,
     },
-    /// Transient migration faults persisted past the configured retry
-    /// budget; the caller should run the task degraded from DDR4
-    /// rather than wedge the wait queue.
+    /// Transient migration faults persisted past the retry budget; the
+    /// caller should run the task degraded from DDR4 rather than wedge
+    /// the wait queue.
     Exhausted {
         /// The block whose fetch kept faulting.
         block: u64,
@@ -67,19 +67,23 @@ impl std::fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// Cap on a single backoff sleep, so a misconfigured base cannot stall
-/// an IO thread for longer than the watchdog deadline.
-pub const BACKOFF_CAP_NS: u64 = 10_000_000; // 10 ms
+/// How many times a fetch retries a transiently-failed migration (see
+/// [`MemError::Transient`]) before the task gives up on HBM and runs
+/// degraded from DDR4.
+const MAX_FETCH_RETRIES: u32 = 4;
+
+/// Base delay of the exponential backoff between transient-fault
+/// retries.
+const BACKOFF_BASE_NS: u64 = 10_000; // 10 µs
 
 /// Delay before retry `attempt` (0-based) of a transiently-failed
-/// fetch: `base << attempt`, saturating, capped at [`BACKOFF_CAP_NS`].
-pub fn backoff_delay_ns(base: u64, attempt: u32) -> u64 {
-    base.saturating_mul(1u64 << attempt.min(20))
-        .min(BACKOFF_CAP_NS)
+/// fetch: `BACKOFF_BASE_NS << attempt`, at most 80 µs.
+fn backoff_delay_ns(attempt: u32) -> u64 {
+    BACKOFF_BASE_NS << attempt
 }
 
 /// Fetch/evict executor bound to one memory subsystem.
-pub struct FetchEngine {
+pub(crate) struct FetchEngine {
     mem: Arc<Memory>,
     engine: MigrationEngine,
     config: OocConfig,
@@ -204,19 +208,16 @@ impl FetchEngine {
                             // Injected/transient fault: retry with
                             // exponential backoff, then hand the
                             // decision to the caller (degraded mode).
-                            if transient_attempts >= self.config.max_fetch_retries {
+                            if transient_attempts >= MAX_FETCH_RETRIES {
                                 return Err(FetchError::Exhausted {
                                     block: dep.block.0 as u64,
                                     attempts: transient_attempts,
                                 });
                             }
-                            let delay =
-                                backoff_delay_ns(self.config.backoff_base, transient_attempts);
+                            let delay = backoff_delay_ns(transient_attempts);
                             transient_attempts += 1;
                             self.stats.bump_transient_retry();
-                            if delay > 0 {
-                                self.mem.clock().sleep(delay);
-                            }
+                            self.mem.clock().sleep(delay);
                             continue;
                         }
                         Err(MemError::UnknownBlock(id)) => {
@@ -270,16 +271,11 @@ impl FetchEngine {
     /// Evict one specific block to DDR4 regardless of policy (used by
     /// cache-mode conflict eviction). Fails if the block is referenced
     /// or mid-move.
-    pub fn force_evict(
-        &self,
-        block: BlockId,
-        tracer: &Tracer,
-        tag: u32,
-    ) -> Result<(), crate::FetchError> {
+    pub fn force_evict(&self, block: BlockId, tracer: &Tracer, tag: u32) -> Result<(), FetchError> {
         if self.try_evict(block, tracer, tag) {
             Ok(())
         } else {
-            Err(crate::FetchError::NoSpace)
+            Err(FetchError::NoSpace)
         }
     }
 
@@ -433,13 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn backoff_sequence_doubles_and_caps() {
-        let base = 1000;
-        let seq: Vec<u64> = (0..4).map(|a| backoff_delay_ns(base, a)).collect();
-        assert_eq!(seq, vec![1000, 2000, 4000, 8000]);
-        assert_eq!(backoff_delay_ns(base, 63), BACKOFF_CAP_NS);
-        assert_eq!(backoff_delay_ns(u64::MAX, 1), BACKOFF_CAP_NS);
-        assert_eq!(backoff_delay_ns(0, 5), 0);
+    fn backoff_sequence_doubles() {
+        let seq: Vec<u64> = (0..MAX_FETCH_RETRIES).map(backoff_delay_ns).collect();
+        assert_eq!(seq, vec![10_000, 20_000, 40_000, 80_000]);
     }
 
     fn setup_with_faults(rate: f64) -> (Arc<Memory>, FetchEngine, Arc<Tracer>, Arc<StatCells>) {
@@ -489,15 +481,17 @@ mod tests {
         let deps = vec![dep(b, AccessMode::ReadOnly)];
         engine.add_refs(&deps);
         let err = engine.fetch_all(&deps, &tracer, 0).unwrap_err();
-        let budget = OocConfig::default().max_fetch_retries;
         assert_eq!(
             err,
             FetchError::Exhausted {
                 block: b.0 as u64,
-                attempts: budget
+                attempts: MAX_FETCH_RETRIES
             }
         );
-        assert_eq!(stats.snapshot().transient_retries, budget as u64);
+        assert_eq!(
+            stats.snapshot().transient_retries,
+            u64::from(MAX_FETCH_RETRIES)
+        );
         assert_eq!(mem.registry().node_of(b), Some(DDR4));
         engine.release_refs(&deps);
     }
@@ -535,5 +529,214 @@ mod tests {
         assert_eq!(mem.registry().node_of(c), Some(HBM));
         assert_eq!(mem.registry().node_of(a), Some(DDR4), "LRU block evicted");
         assert_eq!(mem.registry().node_of(b), Some(HBM));
+    }
+}
+
+/// Property-based tests of the engine's invariants under randomized
+/// task sets (Algorithm 1's state machine, DESIGN.md E8).
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use hetmem::{AccessMode, Topology, VirtualClock};
+    use projections::{LaneId, TraceCollector};
+    use proptest::prelude::*;
+
+    fn engine_with(
+        hbm_cap: u64,
+        eviction: EvictionPolicy,
+    ) -> (Arc<Memory>, FetchEngine, Arc<projections::Tracer>) {
+        let mem = Memory::with_clock(
+            Topology::knl_flat_scaled_with(hbm_cap, 1 << 24),
+            Arc::new(VirtualClock::new()),
+        );
+        let config = OocConfig {
+            eviction,
+            ..OocConfig::default()
+        };
+        let engine = FetchEngine::new(Arc::clone(&mem), config, Arc::new(StatCells::default()));
+        let tracer = TraceCollector::new().tracer(LaneId::io(0));
+        (mem, engine, tracer)
+    }
+
+    /// A random "task": indices into a block table plus access modes.
+    fn task_strategy(nblocks: usize) -> impl Strategy<Value = Vec<(usize, u8)>> {
+        prop::collection::vec((0..nblocks, 0u8..3), 1..4)
+    }
+
+    fn mode(m: u8) -> AccessMode {
+        match m {
+            0 => AccessMode::ReadOnly,
+            1 => AccessMode::ReadWrite,
+            _ => AccessMode::WriteOnly,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Sequentially admitting and completing random tasks never
+        /// exceeds HBM capacity, never loses a block, and (under the
+        /// paper's eviction policy) leaves HBM empty at the end.
+        #[test]
+        fn random_task_sequences_respect_invariants(
+            sizes in prop::collection::vec(64usize..2048, 2..6),
+            tasks in prop::collection::vec(task_strategy(5), 1..25),
+            lru in any::<bool>(),
+        ) {
+            let eviction = if lru { EvictionPolicy::LruOnDemand } else { EvictionPolicy::OnComplete };
+            // Capacity: the largest possible task (3 largest blocks) fits.
+            let cap: u64 = 3 * 2048 + 512;
+            let (mem, engine, tracer) = engine_with(cap, eviction);
+            let blocks: Vec<hetmem::BlockId> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    mem.registry()
+                        .register(mem.alloc_on_node(s, DDR4).unwrap(), format!("b{i}"))
+                })
+                .collect();
+
+            for task in &tasks {
+                // Dedup blocks within a task (a task lists each dep once).
+                let mut deps: Vec<Dep> = Vec::new();
+                for &(bi, m) in task {
+                    let b = blocks[bi % blocks.len()];
+                    if deps.iter().all(|d| d.block != b) {
+                        deps.push(Dep { block: b, mode: mode(m) });
+                    }
+                }
+                engine.add_refs(&deps);
+                match engine.fetch_all(&deps, &tracer, 0) {
+                    Ok(()) => {
+                        // All deps resident in HBM while referenced.
+                        for d in &deps {
+                            prop_assert_eq!(mem.registry().node_of(d.block), Some(HBM));
+                        }
+                    }
+                    Err(FetchError::NoSpace) => {
+                        // Sequential execution with a fitting capacity must
+                        // always find room once nothing else is referenced.
+                        prop_assert!(false, "sequential fetch must never lack space");
+                    }
+                    Err(e) => prop_assert!(false, "unexpected error {e}"),
+                }
+                // Capacity invariant.
+                let hbm = &mem.stats().nodes[HBM.index()];
+                prop_assert!(hbm.used_bytes <= hbm.capacity_bytes);
+                // Complete the task.
+                engine.release_refs(&deps);
+                engine.evict_unreferenced(&deps, &tracer, 0);
+            }
+            // Every block still exists exactly once somewhere.
+            let total: u64 = sizes.iter().map(|&s| s as u64).sum();
+            let stats = mem.stats();
+            prop_assert_eq!(
+                stats.nodes[HBM.index()].used_bytes + stats.nodes[DDR4.index()].used_bytes,
+                total
+            );
+            if eviction == EvictionPolicy::OnComplete {
+                // Paper policy: nothing referenced ⇒ nothing left in HBM.
+                prop_assert_eq!(mem.registry().resident_bytes_on(HBM), 0);
+            }
+            prop_assert!(stats.nodes[HBM.index()].peak_used_bytes <= cap);
+        }
+
+        /// Under a seeded fault schedule the engine stays deterministic:
+        /// replaying the same task sequence against the same seed yields
+        /// identical per-task outcomes, final placements, fault/retry
+        /// counters and virtual-clock time — and the chaos never violates
+        /// the capacity or conservation invariants.
+        #[test]
+        fn chaos_schedules_are_deterministic(
+            sizes in prop::collection::vec(64usize..2048, 2..6),
+            tasks in prop::collection::vec(task_strategy(5), 1..20),
+            seed in any::<u64>(),
+        ) {
+            let cap: u64 = 3 * 2048 + 512;
+            let run = || {
+                let faults = Arc::new(
+                    hetmem::SeededFaults::new(seed)
+                        .with_migration_fail_rate(0.25)
+                        .with_latency_spike(0.25, 5_000),
+                );
+                let mem = Memory::with_clock_and_faults(
+                    Topology::knl_flat_scaled_with(cap, 1 << 24),
+                    Arc::new(VirtualClock::new()),
+                    Arc::clone(&faults) as Arc<dyn hetmem::FaultInjector>,
+                );
+                let stats = Arc::new(StatCells::default());
+                let engine = FetchEngine::new(Arc::clone(&mem), OocConfig::default(), Arc::clone(&stats));
+                let tracer = TraceCollector::new().tracer(LaneId::io(0));
+                let blocks: Vec<hetmem::BlockId> = sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| {
+                        mem.registry()
+                            .register(mem.alloc_on_node(s, DDR4).unwrap(), format!("b{i}"))
+                    })
+                    .collect();
+                let total: u64 = sizes.iter().map(|&s| s as u64).sum();
+
+                let mut outcomes: Vec<u8> = Vec::new();
+                for task in &tasks {
+                    let mut deps: Vec<Dep> = Vec::new();
+                    for &(bi, m) in task {
+                        let b = blocks[bi % blocks.len()];
+                        if deps.iter().all(|d| d.block != b) {
+                            deps.push(Dep { block: b, mode: mode(m) });
+                        }
+                    }
+                    engine.add_refs(&deps);
+                    outcomes.push(match engine.fetch_all(&deps, &tracer, 0) {
+                        Ok(()) => 0,
+                        Err(FetchError::Exhausted { .. }) => 1,
+                        Err(e) => panic!("unexpected error {e}"),
+                    });
+                    engine.release_refs(&deps);
+                    engine.evict_unreferenced(&deps, &tracer, 0);
+                    // Invariants hold under chaos too: capacity respected,
+                    // no block lost.
+                    let ms = mem.stats();
+                    prop_assert!(ms.nodes[HBM.index()].used_bytes <= ms.nodes[HBM.index()].capacity_bytes);
+                    prop_assert_eq!(
+                        ms.nodes[HBM.index()].used_bytes + ms.nodes[DDR4.index()].used_bytes,
+                        total
+                    );
+                }
+                let placements: Vec<_> = blocks.iter().map(|&b| mem.registry().node_of(b)).collect();
+                let fault_stats = hetmem::FaultInjector::stats(&*faults);
+                (outcomes, placements, fault_stats, stats.snapshot(), mem.clock().now())
+            };
+            prop_assert_eq!(run(), run());
+        }
+
+        /// fetch_all + evict keeps every block's refcount at zero between
+        /// tasks, whatever the interleaving of shared dependences.
+        #[test]
+        fn refcounts_return_to_zero(tasks in prop::collection::vec(task_strategy(4), 1..15)) {
+            let (mem, engine, tracer) = engine_with(1 << 20, EvictionPolicy::OnComplete);
+            let blocks: Vec<hetmem::BlockId> = (0..4)
+                .map(|i| {
+                    mem.registry()
+                        .register(mem.alloc_on_node(256, DDR4).unwrap(), format!("b{i}"))
+                })
+                .collect();
+            for task in &tasks {
+                let mut deps: Vec<Dep> = Vec::new();
+                for &(bi, m) in task {
+                    let b = blocks[bi % blocks.len()];
+                    if deps.iter().all(|d| d.block != b) {
+                        deps.push(Dep { block: b, mode: mode(m) });
+                    }
+                }
+                engine.add_refs(&deps);
+                engine.fetch_all(&deps, &tracer, 0).unwrap();
+                engine.release_refs(&deps);
+                engine.evict_unreferenced(&deps, &tracer, 0);
+            }
+            for &b in &blocks {
+                prop_assert_eq!(mem.registry().refcount(b), 0);
+            }
+        }
     }
 }

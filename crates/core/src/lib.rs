@@ -11,18 +11,23 @@
 //!   memory nodes, the tracked data blocks (`CkIOHandle` equivalents)
 //!   and `memcpy`-based migration.
 //!
-//! The pieces:
+//! An application touches the runtime through one door: it builds an
+//! [`OocRuntime`] from an [`OocConfig`] and a [`StrategyKind`], declares
+//! its data as [`IoHandle`]s and its `[prefetch]` entry methods'
+//! dependences, and reads [`OocStats`] back. Wait queues, IO threads,
+//! fetch and eviction are the runtime's own business and stay private
+//! to this crate (§IV-B):
 //!
 //! * [`IoHandle`] — a typed handle to a tracked block (the paper's
 //!   `CkIOHandle<double>`), created on a node chosen by a
 //!   [`Placement`] policy;
-//! * [`OocTask`] — an intercepted entry-method invocation bundled with
-//!   its declared dependences (§IV-B's "encapsulated as an OOCTask");
-//! * [`FetchEngine`] — shared fetch/evict machinery: bring dependences
-//!   into HBM under the capacity budget, evict zero-refcount blocks
-//!   back to DDR4, with optional LRU-on-demand eviction (ablation);
-//! * [`WaitQueues`] — per-PE (or single shared — ablation) FIFO wait
-//!   queues of tasks whose data is not yet resident;
+//! * each intercepted entry-method invocation is bundled with its
+//!   declared dependences (§IV-B's "encapsulated as an OOCTask");
+//! * a shared fetch/evict engine brings dependences into HBM under the
+//!   capacity budget and evicts zero-refcount blocks back to DDR4, with
+//!   optional LRU-on-demand eviction ([`EvictionPolicy`], ablation);
+//! * per-PE (or single shared — [`WaitQueueTopology`], ablation) FIFO
+//!   wait queues hold tasks whose data is not yet resident;
 //! * the three scheduling strategies of §IV-B, all installable as
 //!   scheduler hooks via [`OocRuntime`]:
 //!   * **Multiple queues, single IO thread** — [`StrategyKind::IoThreads`]
@@ -37,22 +42,19 @@
 //!   move — [`Placement::PreferHbm`] with no hook) and *DDR4-only*
 //!   ([`Placement::DdrOnly`]).
 
-pub mod config;
-pub mod engine;
-pub mod handle;
-pub mod ooc;
-pub mod placement;
-pub mod stats;
-pub mod strategy;
-pub mod task;
-pub mod waitqueue;
+mod config;
+mod engine;
+mod handle;
+mod ooc;
+mod placement;
+mod stats;
+mod strategy;
+mod task;
+mod waitqueue;
 
 pub use config::{EvictionPolicy, OocConfig, OversizePolicy, StrategyKind, WaitQueueTopology};
-pub use engine::{FetchEngine, FetchError};
 pub use handle::IoHandle;
 pub use ooc::OocRuntime;
 pub use placement::Placement;
 pub use stats::OocStats;
-pub use strategy::{CacheStats, OocHook, RejectedTask};
-pub use task::{OocTask, TaskRegistry};
-pub use waitqueue::WaitQueues;
+pub use strategy::{CacheStats, RejectedTask};

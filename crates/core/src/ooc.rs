@@ -35,7 +35,6 @@ pub struct OocRuntime {
     mem: Arc<Memory>,
     hook: Option<Arc<OocHook>>,
     checker: Option<Arc<Checker>>,
-    strategy: StrategyKind,
     config: OocConfig,
     /// Driver-maintained iteration counter, persisted in checkpoints so
     /// a restored run knows where to resume.
@@ -65,33 +64,22 @@ impl OocRuntime {
     /// `strategy` under `config`. The runtime shares the memory
     /// subsystem's clock so traces and bandwidth charges agree.
     ///
-    /// Panics if the OS refuses to spawn an IO thread; use
-    /// [`OocRuntime::try_new`] to handle that case gracefully.
-    pub fn new(mem: Arc<Memory>, pes: usize, strategy: StrategyKind, config: OocConfig) -> Self {
-        Self::try_new(mem, pes, strategy, config).expect("spawn IO threads")
-    }
-
-    /// Fallible [`OocRuntime::new`]: a refused IO-thread spawn comes
-    /// back as an error with the partially built runtime already shut
-    /// down, instead of aborting the process.
-    ///
     /// A hetcheck checker is attached automatically when one is
     /// installed in [`hetcheck::global`] or when the `sanitizer` cargo
-    /// feature is on; use [`OocRuntime::try_new_with_checker`] to pass
-    /// one explicitly.
-    pub fn try_new(
-        mem: Arc<Memory>,
-        pes: usize,
-        strategy: StrategyKind,
-        config: OocConfig,
-    ) -> std::io::Result<Self> {
+    /// feature is on. Panics if the OS refuses to spawn an IO thread;
+    /// use [`OocRuntime::try_new_with_checker`] to handle that case
+    /// gracefully.
+    pub fn new(mem: Arc<Memory>, pes: usize, strategy: StrategyKind, config: OocConfig) -> Self {
         Self::try_new_with_checker(mem, pes, strategy, config, default_checker())
+            .expect("spawn IO threads")
     }
 
-    /// [`OocRuntime::try_new`] with an explicit hetcheck checker (or
-    /// explicitly none — `None` here disables the global/feature
-    /// defaults too). The checker is installed as the block registry's
-    /// observer, so it sees block traffic even under
+    /// Fallible [`OocRuntime::new`] with an explicit hetcheck checker
+    /// (or explicitly none — `None` here disables the global/feature
+    /// defaults too): a refused IO-thread spawn comes back as an error
+    /// with the partially built runtime already shut down, instead of
+    /// aborting the process. The checker is installed as the block
+    /// registry's observer, so it sees block traffic even under
     /// [`StrategyKind::Baseline`], where no scheduler hook exists.
     pub fn try_new_with_checker(
         mem: Arc<Memory>,
@@ -109,7 +97,7 @@ impl OocRuntime {
         let hook = match strategy {
             StrategyKind::Baseline => None,
             _ => {
-                let hook = match OocHook::with_checker(
+                let hook = match OocHook::new(
                     Arc::clone(&rt),
                     Arc::clone(&mem),
                     strategy,
@@ -131,7 +119,6 @@ impl OocRuntime {
             mem,
             hook,
             checker,
-            strategy,
             config,
             iteration: AtomicU64::new(0),
         })
@@ -145,11 +132,6 @@ impl OocRuntime {
     /// The memory subsystem.
     pub fn memory(&self) -> &Arc<Memory> {
         &self.mem
-    }
-
-    /// The active strategy.
-    pub fn strategy(&self) -> StrategyKind {
-        self.strategy
     }
 
     /// The active configuration.
@@ -172,11 +154,6 @@ impl OocRuntime {
         self.hook.as_ref().and_then(|h| h.cache_stats())
     }
 
-    /// The attached hetcheck checker, if any.
-    pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.checker.as_ref()
-    }
-
     /// Wait for quiescence (all messages executed, nothing pending).
     pub fn wait_quiescence_ms(&self, timeout_ms: u64) -> bool {
         self.rt.wait_quiescence_ms(timeout_ms)
@@ -184,7 +161,7 @@ impl OocRuntime {
 
     /// Tasks refused by the admission guard under
     /// [`crate::OversizePolicy::Reject`] (empty otherwise).
-    pub fn rejected_tasks(&self) -> Vec<crate::strategy::RejectedTask> {
+    pub fn rejected_tasks(&self) -> Vec<crate::RejectedTask> {
         self.hook
             .as_ref()
             .map(|h| h.rejected_tasks())

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Internal atomic counters shared between strategies and the engine.
 #[derive(Debug, Default)]
-pub struct StatCells {
+pub(crate) struct StatCells {
     fetches: AtomicU64,
     fetch_bytes: AtomicU64,
     evictions: AtomicU64,

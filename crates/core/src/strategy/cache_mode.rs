@@ -21,13 +21,14 @@
 //! conflict misses or capacity misses", §I).
 
 use super::Shared;
+use crate::engine::FetchError;
 use crate::task::OocTask;
 use hetmem::BlockId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Direct-mapped set table plus hit/miss counters.
-pub struct CacheState {
+pub(crate) struct CacheState {
     sets: Mutex<Vec<Option<BlockId>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -150,7 +151,7 @@ fn evict_block(
     block: BlockId,
     tracer: &projections::Tracer,
     tag: u32,
-) -> Result<(), crate::FetchError> {
+) -> Result<(), FetchError> {
     shared.engine.force_evict(block, tracer, tag)
 }
 
@@ -207,6 +208,7 @@ mod tests {
             Arc::clone(&mem),
             StrategyKind::CacheMode { sets },
             OocConfig::default(),
+            None,
         )
         .unwrap();
         rt.set_hook(hook.clone());

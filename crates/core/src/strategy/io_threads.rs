@@ -23,13 +23,12 @@
 //! pool therefore runs a supervisor thread that
 //!
 //! * catches IO-thread panics (`catch_unwind`) and respawns the thread
-//!   within a bounded restart budget
-//!   ([`crate::OocConfig::io_restart_budget`]);
+//!   within a bounded restart budget ([`IO_RESTART_BUDGET`]);
 //! * watches per-thread heartbeats and the admitted/completed counters,
 //!   and — when queued tasks make no progress past the
-//!   [`crate::OocConfig::watchdog_stall_ms`] deadline — drains the wait
-//!   queues in degraded mode (tasks run from DDR4) instead of letting
-//!   the run wedge.
+//!   [`WATCHDOG_STALL_MS`] deadline — drains the wait queues in
+//!   degraded mode (tasks run from DDR4) instead of letting the run
+//!   wedge.
 
 use super::Shared;
 use crate::task::OocTask;
@@ -48,6 +47,14 @@ const IDLE_RESCAN_MS: u64 = 5;
 /// How often the supervisor samples worker health and queue progress.
 const SUPERVISE_TICK_MS: u64 = 5;
 
+/// Wait-queue stall deadline: if queued tasks make no progress for this
+/// long, the watchdog drains them in degraded mode.
+const WATCHDOG_STALL_MS: u64 = 1_000;
+
+/// How many times a crashed IO thread may be respawned before its
+/// queues fall back to the watchdog's degraded drain.
+const IO_RESTART_BUDGET: u32 = 2;
+
 /// One supervised IO thread.
 struct Worker {
     handle: JoinHandle<()>,
@@ -60,7 +67,7 @@ struct Worker {
 /// A pool of IO threads, each serving a contiguous subgroup of wait
 /// queues round-robin, plus a supervisor thread that respawns crashed
 /// workers and breaks wait-queue stalls.
-pub struct IoThreadPool {
+pub(crate) struct IoThreadPool {
     shared: Arc<Shared>,
     workers: Arc<parking_lot::Mutex<Vec<Worker>>>,
     supervisor: parking_lot::Mutex<Option<JoinHandle<()>>>,
@@ -201,7 +208,6 @@ fn supervise(
     heartbeats: Arc<Vec<AtomicU64>>,
     groups: usize,
 ) {
-    let config = *shared.engine.config();
     // The watchdog's degraded admissions trace on their own IO lane,
     // one past the worker groups.
     let tracer = shared.collector.tracer(LaneId::io(groups as u32));
@@ -231,7 +237,7 @@ fn supervise(
                 let dead = slots.swap_remove(i);
                 let g = dead.group;
                 let _ = dead.handle.join();
-                if restarts[g] < config.io_restart_budget {
+                if restarts[g] < IO_RESTART_BUDGET {
                     restarts[g] += 1;
                     shared.stats.bump_io_restart();
                     match spawn_worker(&shared, &heartbeats, g, groups) {
@@ -240,9 +246,8 @@ fn supervise(
                     }
                 } else {
                     eprintln!(
-                        "io-supervisor: io{g} exceeded its restart budget ({}); \
-                         its queues fall back to the degraded drain",
-                        config.io_restart_budget
+                        "io-supervisor: io{g} exceeded its restart budget \
+                         ({IO_RESTART_BUDGET}); its queues fall back to the degraded drain"
                     );
                 }
                 // Indices shifted under us; re-examine next tick.
@@ -253,9 +258,6 @@ fn supervise(
         // Stall watchdog: queued tasks with no admissions/completions
         // for the deadline means the pipeline is wedged (dead thread
         // past its budget, lost wakeup, or HBM starvation).
-        if config.watchdog_stall_ms == 0 {
-            continue;
-        }
         // A checkpoint pause intentionally halts admissions; don't read
         // that as a stall and drain the queues in degraded mode.
         if shared.paused.load(Ordering::SeqCst) {
@@ -270,7 +272,7 @@ fn supervise(
             last_progress = Instant::now();
             continue;
         }
-        if last_progress.elapsed() < Duration::from_millis(config.watchdog_stall_ms) {
+        if last_progress.elapsed() < Duration::from_millis(WATCHDOG_STALL_MS) {
             continue;
         }
         let beats: Vec<u64> = heartbeats
@@ -288,9 +290,8 @@ fn supervise(
         }
         if drained > 0 {
             eprintln!(
-                "io-supervisor: {queued} queued task(s) made no progress for {} ms \
-                 (IO threads {}); drained {drained} task(s) in degraded mode",
-                config.watchdog_stall_ms,
+                "io-supervisor: {queued} queued task(s) made no progress for \
+                 {WATCHDOG_STALL_MS} ms (IO threads {}); drained {drained} task(s) in degraded mode",
                 if alive {
                     "alive but starved"
                 } else {
@@ -447,7 +448,7 @@ mod tests {
                 require_hbm,
             });
 
-        let hook = OocHook::new(Arc::clone(&rt), Arc::clone(&mem), kind, config).unwrap();
+        let hook = OocHook::new(Arc::clone(&rt), Arc::clone(&mem), kind, config, None).unwrap();
         rt.set_hook(hook.clone());
         for i in 0..n {
             rt.send(array, i, EP_COMPUTE, ());
@@ -558,15 +559,17 @@ mod tests {
         // Every migration fails: every task must fall back to DDR4.
         let faults = Arc::new(hetmem::SeededFaults::new(1).with_migration_fail_rate(1.0));
         let mem = Memory::with_faults(topo, faults);
-        let config = OocConfig {
-            max_fetch_retries: 2,
-            backoff_base: 1_000,
-            ..OocConfig::default()
-        };
-        let stats = run_with_mem(StrategyKind::single_io(), config, 2, 6, Some(mem), false);
+        let stats = run_with_mem(
+            StrategyKind::single_io(),
+            OocConfig::default(),
+            2,
+            6,
+            Some(mem),
+            false,
+        );
         assert_eq!(stats.completed, 6);
         assert_eq!(stats.degraded_tasks, 6);
-        assert!(stats.transient_retries >= 12, "2 retries per task minimum");
+        assert!(stats.transient_retries >= 24, "4 retries per task minimum");
         assert_eq!(stats.fetches, 0);
     }
 
@@ -580,18 +583,21 @@ mod tests {
         let faults = Arc::new(
             hetmem::SeededFaults::new(2)
                 .with_io_panic(0)
+                .with_io_panic(0)
                 .with_io_panic(0),
         );
         let mem = Memory::with_faults(topo, faults);
-        let config = OocConfig {
-            io_restart_budget: 1,
-            watchdog_stall_ms: 100,
-            ..OocConfig::default()
-        };
-        let stats = run_with_mem(StrategyKind::single_io(), config, 2, 6, Some(mem), false);
+        let stats = run_with_mem(
+            StrategyKind::single_io(),
+            OocConfig::default(),
+            2,
+            6,
+            Some(mem),
+            false,
+        );
         assert_eq!(stats.completed, 6);
-        assert_eq!(stats.io_panics, 2);
-        assert_eq!(stats.io_restarts, 1, "budget caps respawns");
+        assert_eq!(stats.io_panics, 3);
+        assert_eq!(stats.io_restarts, 2, "budget caps respawns");
         assert!(
             stats.degraded_tasks > 0,
             "watchdog must degrade-drain the orphaned queues"

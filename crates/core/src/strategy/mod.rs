@@ -21,8 +21,10 @@ mod cache_mode;
 mod io_threads;
 mod sync_fetch;
 
-pub use cache_mode::{CacheState, CacheStats};
-pub use io_threads::IoThreadPool;
+pub use cache_mode::CacheStats;
+
+use cache_mode::CacheState;
+use io_threads::IoThreadPool;
 
 use crate::config::{OocConfig, OversizePolicy, StrategyKind};
 use crate::engine::{FetchEngine, FetchError};
@@ -73,7 +75,9 @@ pub(crate) struct Shared {
     /// against the "evict → rescan wait queues" step of strategies
     /// without a backstop thread (SyncFetch). Without it the last
     /// completion's rescan can miss a task parked a moment later and
-    /// strand it forever. Fetches themselves run outside this lock.
+    /// strand it forever. The fetch of a newly intercepted task runs
+    /// outside this lock; the completion-side rescan fetches while
+    /// holding it.
     pub admission: parking_lot::Mutex<()>,
     /// Structured records of tasks refused by the admission guard
     /// (see [`RejectedTask`]).
@@ -251,7 +255,7 @@ enum Flavour {
 }
 
 /// The installable scheduler hook implementing the paper's strategies.
-pub struct OocHook {
+pub(crate) struct OocHook {
     shared: Arc<Shared>,
     flavour: Flavour,
 }
@@ -261,24 +265,15 @@ impl OocHook {
     /// A refused thread spawn is propagated as an error instead of
     /// aborting the process.
     ///
+    /// An attached hetcheck `checker` receives task admission/completion
+    /// events and its sanitizer scope brackets every admitted entry
+    /// method. The caller is responsible for installing the checker as
+    /// the block registry's observer (see `Checker::install`) —
+    /// `OocRuntime` does both.
+    ///
     /// Panics on [`StrategyKind::Baseline`]: the baseline is "no hook
     /// installed" — construct nothing instead.
     pub fn new(
-        rt: Arc<Runtime>,
-        mem: Arc<Memory>,
-        kind: StrategyKind,
-        config: OocConfig,
-    ) -> std::io::Result<Arc<Self>> {
-        Self::with_checker(rt, mem, kind, config, None)
-    }
-
-    /// [`OocHook::new`] with a hetcheck checker attached: the checker
-    /// receives task admission/completion events and its sanitizer
-    /// scope brackets every admitted entry method. The caller is
-    /// responsible for installing the checker as the block registry's
-    /// observer (see `Checker::install`) — typically `OocRuntime` does
-    /// both.
-    pub fn with_checker(
         rt: Arc<Runtime>,
         mem: Arc<Memory>,
         kind: StrategyKind,
@@ -333,11 +328,6 @@ impl OocHook {
             stats.violations = checker.violation_count();
         }
         stats
-    }
-
-    /// The attached hetcheck checker, if any.
-    pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.shared.checker.as_ref()
     }
 
     /// Cache hit/miss statistics (cache-mode strategy only).

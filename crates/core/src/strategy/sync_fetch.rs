@@ -27,9 +27,10 @@ use crate::task::OocTask;
 /// is no backstop IO thread in this strategy). The admission lock plus
 /// the completion-counter check close that window — a completion that
 /// sneaks in between the failed fetch and the lock is detected and the
-/// fetch retried — while the fetch itself stays outside the lock so
+/// fetch retried. The fetch on this path stays outside the lock so
 /// workers still fetch their own data concurrently (the point of this
-/// strategy over a single IO thread).
+/// strategy over a single IO thread); only the completion-side rescan
+/// in [`after_complete`] fetches while holding it.
 pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
     let tracer = shared.worker_tracer(task.pe);
     loop {
@@ -162,6 +163,7 @@ mod tests {
             Arc::clone(&mem),
             StrategyKind::SyncFetch,
             OocConfig::default(),
+            None,
         )
         .unwrap();
         rt.set_hook(hook.clone());
@@ -238,6 +240,7 @@ mod tests {
             Arc::clone(&mem),
             StrategyKind::SyncFetch,
             OocConfig::default(),
+            None,
         )
         .unwrap();
         rt.set_hook(hook.clone());

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An intercepted `[prefetch]` invocation waiting for its data.
-pub struct OocTask {
+pub(crate) struct OocTask {
     /// The original message (re-injected on admission).
     pub env: Envelope,
     /// Declared dependences of the entry method for this message.
@@ -24,33 +24,6 @@ pub struct OocTask {
     pub pe: usize,
     /// Clock time at interception (measures wait-queue delay).
     pub enqueued_at: u64,
-}
-
-impl OocTask {
-    /// Total bytes of dependences *not yet* resident on `node` — what a
-    /// fetch still has to move.
-    ///
-    /// Panics if a dependence names a block `registry` has never seen:
-    /// a dangling `BlockId` in a dep list is a wiring bug (the chare
-    /// declared a block from a different `Memory`, or one that was
-    /// never registered), and silently pricing it as "missing" would
-    /// wedge the fetch engine on an unfetchable task.
-    pub fn missing_bytes(&self, registry: &hetmem::BlockRegistry, node: hetmem::NodeId) -> u64 {
-        self.deps
-            .iter()
-            .inspect(|d| {
-                assert!(
-                    registry.contains(d.block),
-                    "dependence of chare {} names unregistered {:?} — \
-                     declared blocks must be registered with this runtime's Memory",
-                    self.env.index,
-                    d.block
-                );
-            })
-            .filter(|d| registry.node_of(d.block) != Some(node))
-            .map(|d| registry.size_of(d.block) as u64)
-            .sum()
-    }
 }
 
 impl std::fmt::Debug for OocTask {
@@ -65,7 +38,7 @@ impl std::fmt::Debug for OocTask {
 
 /// Records of admitted tasks, keyed by envelope token.
 #[derive(Default)]
-pub struct TaskRegistry {
+pub(crate) struct TaskRegistry {
     next_token: AtomicU64,
     records: Mutex<HashMap<u64, Vec<Dep>>>,
 }
@@ -109,17 +82,11 @@ impl TaskRegistry {
     pub fn deps_of(&self, token: u64) -> Option<Vec<Dep>> {
         self.records.lock().get(&token).cloned()
     }
-
-    /// Number of admitted-but-not-completed tasks.
-    pub fn in_flight(&self) -> usize {
-        self.records.lock().len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use converse::{ArrayId, EntryId};
     use hetmem::{AccessMode, BlockId};
 
     fn dep(b: u32) -> Dep {
@@ -136,10 +103,11 @@ mod tests {
         let t2 = reg.admit(vec![dep(3)]);
         assert_ne!(t1, 0, "tokens must be nonzero");
         assert_ne!(t1, t2);
-        assert_eq!(reg.in_flight(), 2);
+        assert_eq!(reg.deps_of(t2).unwrap().len(), 1);
         let deps = reg.complete(t1).unwrap();
         assert_eq!(deps.len(), 2);
-        assert_eq!(reg.in_flight(), 1);
+        assert!(reg.deps_of(t1).is_none());
+        assert!(reg.deps_of(t2).is_some(), "other tasks stay in flight");
         assert!(reg.complete(t1).is_none(), "double completion is caught");
     }
 
@@ -154,7 +122,6 @@ mod tests {
         let t2 = reg.admit(vec![dep(2)]);
         assert!(reg.complete(t1).is_none());
         assert!(reg.complete(0).is_none(), "the never-admitted sentinel");
-        assert_eq!(reg.in_flight(), 1);
         assert!(reg.deps_of(t2).is_some());
     }
 
@@ -169,7 +136,6 @@ mod tests {
         assert_ne!(b, 0, "token 0 means 'never admitted' and must be skipped");
         assert_eq!(b, 1);
         assert_eq!(c, 2);
-        assert_eq!(reg.in_flight(), 3);
         assert_eq!(reg.complete(a).unwrap().len(), 1);
         assert_eq!(reg.complete(b).unwrap().len(), 1);
         assert_eq!(reg.complete(c).unwrap().len(), 1);
@@ -196,79 +162,37 @@ mod tests {
             .map(|t| {
                 let reg = Arc::clone(&reg);
                 std::thread::spawn(move || {
-                    let mut held = Vec::new();
+                    let (mut held, mut done) = (Vec::new(), Vec::new());
                     for i in 0..per_thread {
                         let tok = reg.admit(vec![dep(t * per_thread + i)]);
-                        held.push(tok);
                         // Complete every other task immediately; the
                         // rest stay in flight until the end.
                         if i % 2 == 0 {
                             let deps = reg.complete(tok).expect("own fresh token");
                             assert_eq!(deps.len(), 1);
-                            held.pop();
+                            done.push(tok);
+                        } else {
+                            held.push(tok);
                         }
                     }
-                    held
+                    (held, done)
                 })
             })
             .collect();
-        let mut outstanding = Vec::new();
+        let (mut outstanding, mut completed) = (Vec::new(), Vec::new());
         for h in handles {
-            outstanding.extend(h.join().unwrap());
+            let (held, done) = h.join().unwrap();
+            outstanding.extend(held);
+            completed.extend(done);
         }
         // All tokens unique across threads.
-        let unique: std::collections::HashSet<u64> = outstanding.iter().copied().collect();
-        assert_eq!(unique.len(), outstanding.len());
-        assert_eq!(reg.in_flight(), outstanding.len());
-        for tok in outstanding {
+        let unique: std::collections::HashSet<u64> =
+            outstanding.iter().chain(&completed).copied().collect();
+        assert_eq!(unique.len(), outstanding.len() + completed.len());
+        assert!(completed.iter().all(|&tok| reg.deps_of(tok).is_none()));
+        for &tok in &outstanding {
             assert!(reg.complete(tok).is_some());
         }
-        assert_eq!(reg.in_flight(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "names unregistered")]
-    fn missing_bytes_rejects_unregistered_blocks() {
-        let topo = hetmem::Topology::knl_flat_scaled();
-        let mem = hetmem::Memory::new(topo);
-        let task = OocTask {
-            env: Envelope::new(ArrayId(0), 0, EntryId(0), Box::new(())),
-            deps: vec![Dep {
-                block: BlockId(999),
-                mode: AccessMode::ReadOnly,
-            }],
-            pe: 0,
-            enqueued_at: 0,
-        };
-        task.missing_bytes(mem.registry(), hetmem::HBM);
-    }
-
-    #[test]
-    fn missing_bytes_counts_non_resident_deps() {
-        let topo = hetmem::Topology::knl_flat_scaled();
-        let mem = hetmem::Memory::new(topo);
-        let on_ddr = mem
-            .registry()
-            .register(mem.alloc_on_node(100, hetmem::DDR4).unwrap(), "d");
-        let on_hbm = mem
-            .registry()
-            .register(mem.alloc_on_node(40, hetmem::HBM).unwrap(), "h");
-        let task = OocTask {
-            env: Envelope::new(ArrayId(0), 0, EntryId(0), Box::new(())),
-            deps: vec![
-                Dep {
-                    block: on_ddr,
-                    mode: AccessMode::ReadWrite,
-                },
-                Dep {
-                    block: on_hbm,
-                    mode: AccessMode::ReadOnly,
-                },
-            ],
-            pe: 0,
-            enqueued_at: 0,
-        };
-        assert_eq!(task.missing_bytes(mem.registry(), hetmem::HBM), 100);
-        assert_eq!(task.missing_bytes(mem.registry(), hetmem::DDR4), 40);
+        assert!(unique.iter().all(|&tok| reg.deps_of(tok).is_none()));
     }
 }

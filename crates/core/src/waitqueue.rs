@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 /// A set of FIFO wait queues plus the condition variable IO threads
 /// sleep on.
-pub struct WaitQueues {
+pub(crate) struct WaitQueues {
     topology: WaitQueueTopology,
     queues: Vec<Mutex<VecDeque<OocTask>>>,
     /// One condvar per IO-thread signal group; signalled on enqueue and
@@ -74,11 +74,6 @@ impl WaitQueues {
     /// Tasks currently waiting across all queues.
     pub fn len(&self) -> usize {
         self.queues.iter().map(|q| q.lock().len()).sum()
-    }
-
-    /// True if no tasks are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Wake the IO thread responsible for signal group `group`.

@@ -364,8 +364,6 @@ mod tests {
             ViolationAction::Count,
             TraceMeta {
                 hbm_capacity: 1 << 20,
-                hbm: HBM.index(),
-                ddr: DDR4.index(),
             },
             clock,
         ));

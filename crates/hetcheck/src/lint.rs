@@ -15,7 +15,7 @@
 //!   included), no task completes twice or without admission.
 
 use crate::schedule::{ScheduleEvent, Trace};
-use hetmem::BlockId;
+use hetmem::{BlockId, DDR4, HBM};
 use std::collections::{HashMap, HashSet};
 
 /// One invariant breach found while replaying a trace.
@@ -211,7 +211,7 @@ pub fn lint(trace: &Trace) -> LintReport {
         let at_ns = ev.at_ns;
         match &ev.event {
             ScheduleEvent::Register { block, bytes, node } => {
-                if *node == meta.hbm {
+                if *node == HBM.index() {
                     hbm_bytes += bytes;
                     if hbm_bytes > meta.hbm_capacity {
                         report.findings.push(LintFinding::HbmOverCapacity {
@@ -286,13 +286,13 @@ pub fn lint(trace: &Trace) -> LintReport {
                     });
                     continue;
                 };
-                if *to == meta.hbm && b.node == meta.hbm {
+                if *to == HBM.index() && b.node == HBM.index() {
                     report.findings.push(LintFinding::FetchOfResident {
                         at_ns,
                         block: *block,
                     });
                 }
-                if *to == meta.ddr && *refcount != 0 {
+                if *to == DDR4.index() && *refcount != 0 {
                     report.findings.push(LintFinding::EvictReferenced {
                         at_ns,
                         block: *block,
@@ -316,7 +316,7 @@ pub fn lint(trace: &Trace) -> LintReport {
                 // eviction only after its completion callback, so this
                 // accounting never under-reports a capacity breach.
                 let bytes = b.bytes;
-                if was != meta.hbm && *node == meta.hbm {
+                if was != HBM.index() && *node == HBM.index() {
                     hbm_bytes += bytes;
                     if hbm_bytes > meta.hbm_capacity {
                         report.findings.push(LintFinding::HbmOverCapacity {
@@ -326,7 +326,7 @@ pub fn lint(trace: &Trace) -> LintReport {
                         });
                     }
                     report.peak_hbm = report.peak_hbm.max(hbm_bytes);
-                } else if was == meta.hbm && *node != meta.hbm {
+                } else if was == HBM.index() && *node != HBM.index() {
                     hbm_bytes = hbm_bytes.saturating_sub(bytes);
                 }
             }
@@ -413,11 +413,7 @@ mod tests {
     }
 
     fn meta(cap: usize) -> TraceMeta {
-        TraceMeta {
-            hbm_capacity: cap,
-            hbm: 1,
-            ddr: 0,
-        }
+        TraceMeta { hbm_capacity: cap }
     }
 
     /// Register on DDR, pin, fetch, admit, complete, unpin, evict.

@@ -99,18 +99,12 @@ pub struct TimedEvent {
 pub struct TraceMeta {
     /// HBM capacity in bytes (the linter's occupancy ceiling).
     pub hbm_capacity: usize,
-    /// Node id of the HBM tier.
-    pub hbm: usize,
-    /// Node id of the DDR4 tier.
-    pub ddr: usize,
 }
 
 impl Default for TraceMeta {
     fn default() -> Self {
         TraceMeta {
             hbm_capacity: usize::MAX,
-            hbm: 1,
-            ddr: 0,
         }
     }
 }
@@ -203,11 +197,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Trace {
-        let log = ScheduleLog::new(TraceMeta {
-            hbm_capacity: 4096,
-            hbm: 1,
-            ddr: 0,
-        });
+        let log = ScheduleLog::new(TraceMeta { hbm_capacity: 4096 });
         log.record(
             0,
             ScheduleEvent::Register {

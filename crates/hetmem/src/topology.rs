@@ -162,21 +162,9 @@ impl Topology {
         self.per_charge_overhead_ns
     }
 
-    /// Override the per-charge overhead.
-    pub fn with_per_charge_overhead_ns(mut self, ns: u64) -> Self {
-        self.per_charge_overhead_ns = ns;
-        self
-    }
-
     /// Single-thread memcpy rate cap for migrations (None = uncapped).
     pub fn migrate_thread_bytes_per_sec(&self) -> Option<u64> {
         self.migrate_thread_bytes_per_sec
-    }
-
-    /// Override the single-thread memcpy rate cap.
-    pub fn with_migrate_thread_rate(mut self, rate: Option<u64>) -> Self {
-        self.migrate_thread_bytes_per_sec = rate;
-        self
     }
 
     /// Bandwidth ratio between two nodes (a:b).

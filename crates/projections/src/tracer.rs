@@ -8,14 +8,12 @@
 use crate::span::{LaneId, Span, SpanKind};
 use crate::timeline::{LaneTrace, Trace};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Per-lane span recorder.
 pub struct Tracer {
     lane: LaneId,
     spans: Mutex<Vec<Span>>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Tracer {
@@ -27,9 +25,6 @@ impl Tracer {
     /// Record a finished span. `start_ns`/`end_ns` come from the run's
     /// clock (the runtime passes its `hetmem` clock values through).
     pub fn record(&self, kind: SpanKind, start_ns: u64, end_ns: u64, tag: u32) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.spans.lock().push(Span {
             kind,
             start_ns,
@@ -52,7 +47,6 @@ impl Tracer {
 /// Shared collector for one run.
 pub struct TraceCollector {
     tracers: Mutex<Vec<Arc<Tracer>>>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Default for TraceCollector {
@@ -62,25 +56,11 @@ impl Default for TraceCollector {
 }
 
 impl TraceCollector {
-    /// A collector with tracing enabled.
+    /// An empty collector.
     pub fn new() -> Self {
         Self {
             tracers: Mutex::new(Vec::new()),
-            enabled: Arc::new(AtomicBool::new(true)),
         }
-    }
-
-    /// A collector that records nothing (zero overhead for benchmark
-    /// runs that don't need timelines).
-    pub fn disabled() -> Self {
-        let c = Self::new();
-        c.enabled.store(false, Ordering::Relaxed);
-        c
-    }
-
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The tracer for `lane`, creating and registering it on first use.
@@ -95,7 +75,6 @@ impl TraceCollector {
         let t = Arc::new(Tracer {
             lane,
             spans: Mutex::new(Vec::new()),
-            enabled: Arc::clone(&self.enabled),
         });
         tracers.push(Arc::clone(&t));
         t
@@ -145,12 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
-        let c = TraceCollector::disabled();
+    fn tracer_counts_recorded_spans() {
+        let c = TraceCollector::new();
         let t = c.tracer(LaneId::worker(0));
-        t.record(SpanKind::Compute, 0, 100, 0);
         assert!(t.is_empty());
-        assert!(!c.is_enabled());
+        t.record(SpanKind::Compute, 0, 100, 0);
+        assert_eq!(t.len(), 1);
+        assert!(!t.is_empty());
     }
 
     #[test]

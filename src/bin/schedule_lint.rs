@@ -15,7 +15,7 @@
 
 use hetrt::core::{OocConfig, Placement, StrategyKind};
 use hetrt::hetcheck::{self, lint, Checker, ScheduleEvent, Trace, TraceMeta, ViolationAction};
-use hetrt::hetmem::{Clock, MonotonicClock, Topology, DDR4, HBM};
+use hetrt::hetmem::{Clock, MonotonicClock, Topology, HBM};
 use hetrt::kernels::matmul::{run_matmul, MatmulConfig};
 use hetrt::kernels::stencil::{run_stencil, StencilConfig};
 use std::sync::Arc;
@@ -81,8 +81,6 @@ fn record(name: &str, meta: TraceMeta, run: impl FnOnce()) -> Result<Trace, Stri
 fn meta_for(topology: &Topology) -> TraceMeta {
     TraceMeta {
         hbm_capacity: topology.node(HBM).capacity_bytes as usize,
-        hbm: HBM.index(),
-        ddr: DDR4.index(),
     }
 }
 
