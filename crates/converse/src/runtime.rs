@@ -11,7 +11,7 @@ use crate::array::{ArrayBuilder, ArrayDispatch, ChareArray, Mapping};
 use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 use crate::hook::{ExecutedTask, SchedulerHook};
 use crate::queue::{Pop, RunQueue};
-use hetmem::{Clock, MonotonicClock};
+use hetmem::{Clock, MonotonicClock, TimeNs};
 use parking_lot::{Condvar, Mutex, RwLock};
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::any::Any;
@@ -410,13 +410,15 @@ fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
                 if now > idle_start {
                     tracer.record(SpanKind::Idle, idle_start, now, pe as u32);
                 }
-                process(&rt, pe, env, &tracer);
+                process(&rt, pe, env, &tracer, now);
             }
         }
     }
 }
 
-fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Arc<Tracer>) {
+/// Run one popped envelope. `t0`, the time it was popped, starts its
+/// execution span, so the span follows the idle span without a gap.
+fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Arc<Tracer>, t0: TimeNs) {
     let dispatch = rt.dispatch(env.array);
     let opts = dispatch.entry_options(env.entry);
 
@@ -455,7 +457,6 @@ fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Arc<Tracer>) {
     if let Some(hook) = &hook {
         hook.on_execute_begin(pe, &env);
     }
-    let t0 = rt.clock.now();
     dispatch.execute(env, rt, pe);
     let t1 = rt.clock.now();
     if let Some(hook) = &hook {

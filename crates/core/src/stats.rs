@@ -85,6 +85,21 @@ impl StatCells {
         self.restores.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Admitted tasks completed so far.
+    pub(crate) fn completed(&self) -> u64 {
+        self.completed.load(Ordering::Relaxed)
+    }
+
+    /// Tasks intercepted but not yet completed (see
+    /// [`OocStats::in_flight`]), from three loads instead of a snapshot.
+    pub(crate) fn in_flight(&self) -> u64 {
+        in_flight(
+            self.intercepted.load(Ordering::Relaxed),
+            self.completed(),
+            self.rejected_tasks.load(Ordering::Relaxed),
+        )
+    }
+
     /// Overwrite every counter with the values in `s` — used once,
     /// right after a restore, so cumulative statistics survive a
     /// kill-and-restore instead of restarting from zero. The restore
@@ -194,9 +209,7 @@ impl OocStats {
     /// intercepted but will never run — they are not outstanding work,
     /// and quiescence must not wait on them.
     pub fn in_flight(&self) -> u64 {
-        self.intercepted
-            .saturating_sub(self.completed)
-            .saturating_sub(self.rejected_tasks)
+        in_flight(self.intercepted, self.completed, self.rejected_tasks)
     }
 
     /// Mean wait-queue delay per admitted task, in milliseconds.
@@ -242,6 +255,12 @@ impl OocStats {
         }
         line
     }
+}
+
+fn in_flight(intercepted: u64, completed: u64, rejected: u64) -> u64 {
+    intercepted
+        .saturating_sub(completed)
+        .saturating_sub(rejected)
 }
 
 #[cfg(test)]

@@ -210,7 +210,7 @@ fn supervise(
 ) {
     // The watchdog's degraded admissions trace on their own IO lane,
     // one past the worker groups.
-    let tracer = shared.collector.tracer(LaneId::io(groups as u32));
+    let tracer = shared.rt.collector().tracer(LaneId::io(groups as u32));
     let mut restarts = vec![0u32; groups];
     let mut last_counts = (u64::MAX, u64::MAX);
     let mut last_beats: Vec<u64> = heartbeats
@@ -305,7 +305,7 @@ fn supervise(
 
 /// The IO thread body: Algorithm 1 of the paper.
 fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: usize) {
-    let tracer = shared.collector.tracer(LaneId::io(group as u32));
+    let tracer = shared.rt.collector().tracer(LaneId::io(group as u32));
     let clock = Arc::clone(shared.rt.clock());
     let nqueues = shared.waitq.queue_count();
     let per = nqueues.div_ceil(groups);

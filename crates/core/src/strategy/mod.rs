@@ -34,7 +34,7 @@ use crate::waitqueue::WaitQueues;
 use converse::{EntryId, Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
 use hetmem::Memory;
-use projections::{LaneId, SpanKind, TraceCollector, Tracer};
+use projections::{LaneId, SpanKind, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -64,7 +64,8 @@ pub(crate) struct Shared {
     pub tasks: TaskRegistry,
     pub waitq: Arc<WaitQueues>,
     pub stats: Arc<StatCells>,
-    pub collector: Arc<TraceCollector>,
+    /// Worker-lane tracer of each PE, looked up once at construction.
+    worker_tracers: Vec<Arc<Tracer>>,
     pub node_level_run_queue: bool,
     /// Attached hetcheck checker: receives task admission/completion
     /// events and brackets entry-method execution with a sanitizer
@@ -90,8 +91,8 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Worker-lane tracer for `pe`.
-    pub fn worker_tracer(&self, pe: usize) -> Arc<Tracer> {
-        self.collector.tracer(LaneId::worker(pe as u32))
+    pub fn worker_tracer(&self, pe: usize) -> &Tracer {
+        &self.worker_tracers[pe]
     }
 
     /// Wrap an intercepted envelope as an [`OocTask`].
@@ -226,10 +227,9 @@ impl Shared {
         if let Some(checker) = &self.checker {
             checker.task_completed(done.token);
         }
-        let tracer = self.worker_tracer(done.pe);
         self.engine.release_refs(&deps);
         self.engine
-            .evict_unreferenced(&deps, &tracer, done.index as u32);
+            .evict_unreferenced(&deps, self.worker_tracer(done.pe), done.index as u32);
         // Count the task completed only after its eviction finished, so
         // quiescence covers the whole post-processing step.
         self.stats.bump_completed();
@@ -296,13 +296,15 @@ impl OocHook {
             rt.pes(),
             io_threads.max(1),
         ));
-        let collector = Arc::clone(rt.collector());
+        let worker_tracers = (0..rt.pes())
+            .map(|pe| rt.collector().tracer(LaneId::worker(pe as u32)))
+            .collect();
         let shared = Arc::new(Shared {
             engine: FetchEngine::new(mem, config, Arc::clone(&stats)),
             tasks: TaskRegistry::new(),
             waitq,
             stats,
-            collector,
+            worker_tracers,
             node_level_run_queue: config.node_level_run_queue,
             admission: parking_lot::Mutex::new(()),
             rejected: parking_lot::Mutex::new(Vec::new()),
@@ -389,8 +391,8 @@ impl SchedulerHook for OocHook {
         {
             match self.shared.engine.config().oversize_policy {
                 OversizePolicy::Degrade => {
-                    let tracer = self.shared.worker_tracer(pe);
-                    self.shared.admit_degraded(task, &tracer);
+                    self.shared
+                        .admit_degraded(task, self.shared.worker_tracer(pe));
                 }
                 OversizePolicy::Reject => self.shared.reject(task, needed, capacity),
             }
@@ -432,7 +434,7 @@ impl SchedulerHook for OocHook {
     }
 
     fn pending(&self) -> usize {
-        self.shared.stats.snapshot().in_flight() as usize
+        self.shared.stats.in_flight() as usize
     }
 
     fn on_pause(&self) {

@@ -34,13 +34,13 @@ use crate::task::OocTask;
 pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
     let tracer = shared.worker_tracer(task.pe);
     loop {
-        let completed = shared.stats.snapshot().completed;
+        let completed = shared.stats.completed();
         // Synchronous fetch: runs right here, on the PE's thread.
-        match shared.try_admit(task, &tracer) {
+        match shared.try_admit(task, tracer) {
             Ok(()) => return,
             Err(t) => {
                 let _gate = shared.admission.lock();
-                if shared.stats.snapshot().completed != completed {
+                if shared.stats.completed() != completed {
                     // A task completed (and evicted) since the failed
                     // fetch began; its rescan may have already missed
                     // us. Retry with the freed space.
@@ -78,7 +78,7 @@ pub(super) fn after_complete(shared: &Shared, pe: usize) {
             let Some(task) = shared.waitq.pop(q) else {
                 break;
             };
-            match shared.try_admit(task, &tracer) {
+            match shared.try_admit(task, tracer) {
                 Ok(()) => continue,
                 Err(task) => {
                     shared.waitq.push_front(task);

@@ -131,13 +131,18 @@ impl BandwidthRegulator {
         while remaining > 0 || first {
             let slice = remaining.min(self.slice_bytes);
             let mut dur = self.service_ns(slice, scale);
-            if first {
-                dur += self.overhead_ns;
+            // The first slice is issued at `issued_at`; later ones when
+            // the previous slice has drained.
+            let now = if first {
                 first = false;
-            }
+                dur += self.overhead_ns;
+                issued_at
+            } else {
+                self.clock.now()
+            };
             let end = {
                 let mut cursor = self.cursor.lock();
-                let start = (*cursor).max(self.clock.now());
+                let start = (*cursor).max(now);
                 let end = start + dur;
                 *cursor = end;
                 end

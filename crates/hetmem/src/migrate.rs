@@ -102,8 +102,7 @@ impl MigrationEngine {
         // the paper's [11]), which is exactly why one IO thread is a
         // fetch bottleneck while many are not.
         if copy_contents && size > 0 {
-            let copy_start = self.mem.clock().now();
-            self.mem.regulator(src_node).charge(size as u64);
+            let copy_start = self.mem.regulator(src_node).charge(size as u64).issued_at;
             self.mem.regulator(dst).charge_write(size as u64);
             dst_buf.as_mut_slice().copy_from_slice(src_buf.as_slice());
             if let Some(rate) = self.mem.topology().migrate_thread_bytes_per_sec() {

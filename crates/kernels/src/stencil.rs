@@ -244,6 +244,13 @@ pub(crate) fn extract_plane(face: usize, dims: (usize, usize, usize), block: &[f
 
 /// 7-point Jacobi update of `block` given optional halo planes per
 /// face; missing halos (domain boundary) reuse the cell's own value.
+///
+/// The sweep goes row by row along x. Each (y, z) row reads four
+/// neighbour rows (an interior row, the matching row of a halo plane,
+/// or the row itself when that face has no halo) and, at its two ends,
+/// one x-halo cell each. With the ends peeled off, the interior of the
+/// row is a branch-free loop the compiler vectorises. Every cell sums
+/// its terms in the same order, so results do not depend on the sweep.
 pub(crate) fn jacobi_update(
     dims: (usize, usize, usize),
     block: &mut [f64],
@@ -253,46 +260,48 @@ pub(crate) fn jacobi_update(
     let (bx, by, bz) = dims;
     scratch.clear();
     scratch.extend_from_slice(block);
-    let old = |x: usize, y: usize, z: usize| scratch[(z * by + y) * bx + x];
-    let halo = |face: usize, a: usize, b: usize, da: usize| -> Option<f64> {
-        halos[face].as_ref().map(|p| p[b * da + a])
-    };
+    let old = scratch.as_slice();
+    let row = |y: usize, z: usize| &old[(z * by + y) * bx..][..bx];
+    let halo_row = |face: usize, r: usize| halos[face].as_ref().map(|p| &p[r * bx..][..bx]);
+    let halo_cell = |face: usize, y: usize, z: usize| halos[face].as_ref().map(|p| p[z * by + y]);
+    let last = bx - 1;
     for z in 0..bz {
         for y in 0..by {
-            for x in 0..bx {
-                let c = old(x, y, z);
-                let xm = if x > 0 {
-                    old(x - 1, y, z)
-                } else {
-                    halo(0, y, z, by).unwrap_or(c)
-                };
-                let xp = if x + 1 < bx {
-                    old(x + 1, y, z)
-                } else {
-                    halo(1, y, z, by).unwrap_or(c)
-                };
-                let ym = if y > 0 {
-                    old(x, y - 1, z)
-                } else {
-                    halo(2, x, z, bx).unwrap_or(c)
-                };
-                let yp = if y + 1 < by {
-                    old(x, y + 1, z)
-                } else {
-                    halo(3, x, z, bx).unwrap_or(c)
-                };
-                let zm = if z > 0 {
-                    old(x, y, z - 1)
-                } else {
-                    halo(4, x, y, bx).unwrap_or(c)
-                };
-                let zp = if z + 1 < bz {
-                    old(x, y, z + 1)
-                } else {
-                    halo(5, x, y, bx).unwrap_or(c)
-                };
-                block[(z * by + y) * bx + x] = (c + xm + xp + ym + yp + zm + zp) / 7.0;
+            let c = row(y, z);
+            let ym = if y > 0 {
+                row(y - 1, z)
+            } else {
+                halo_row(2, z).unwrap_or(c)
+            };
+            let yp = if y + 1 < by {
+                row(y + 1, z)
+            } else {
+                halo_row(3, z).unwrap_or(c)
+            };
+            let zm = if z > 0 {
+                row(y, z - 1)
+            } else {
+                halo_row(4, y).unwrap_or(c)
+            };
+            let zp = if z + 1 < bz {
+                row(y, z + 1)
+            } else {
+                halo_row(5, y).unwrap_or(c)
+            };
+            let cell =
+                |x: usize, xm: f64, xp: f64| (c[x] + xm + xp + ym[x] + yp[x] + zm[x] + zp[x]) / 7.0;
+            let out = &mut block[(z * by + y) * bx..][..bx];
+            let x_lo = halo_cell(0, y, z).unwrap_or(c[0]);
+            let x_hi = halo_cell(1, y, z).unwrap_or(c[last]);
+            if bx == 1 {
+                out[0] = cell(0, x_lo, x_hi);
+                continue;
             }
+            out[0] = cell(0, x_lo, c[1]);
+            for x in 1..last {
+                out[x] = cell(x, c[x - 1], c[x + 1]);
+            }
+            out[last] = cell(last, c[last - 1], x_hi);
         }
     }
 }
@@ -657,6 +666,89 @@ mod tests {
         let halos: Vec<Option<Vec<f64>>> = vec![None; 6];
         jacobi_update(dims, &mut block, &mut scratch, &halos);
         assert!(block.iter().all(|&v| (v - 2.5).abs() < 1e-12));
+    }
+
+    /// Per-cell oracle for the row-wise sweep: each cell looks up its
+    /// six neighbours one by one, summing in the sweep's order.
+    fn jacobi_per_cell(
+        (bx, by, bz): (usize, usize, usize),
+        old: &[f64],
+        halos: &[Option<Vec<f64>>],
+    ) -> Vec<f64> {
+        let at = |x: usize, y: usize, z: usize| old[(z * by + y) * bx + x];
+        let halo = |face: usize, i: usize, c: f64| halos[face].as_ref().map_or(c, |p| p[i]);
+        let mut out = vec![0.0; old.len()];
+        for z in 0..bz {
+            for y in 0..by {
+                for x in 0..bx {
+                    let c = at(x, y, z);
+                    let xm = if x > 0 {
+                        at(x - 1, y, z)
+                    } else {
+                        halo(0, z * by + y, c)
+                    };
+                    let xp = if x + 1 < bx {
+                        at(x + 1, y, z)
+                    } else {
+                        halo(1, z * by + y, c)
+                    };
+                    let ym = if y > 0 {
+                        at(x, y - 1, z)
+                    } else {
+                        halo(2, z * bx + x, c)
+                    };
+                    let yp = if y + 1 < by {
+                        at(x, y + 1, z)
+                    } else {
+                        halo(3, z * bx + x, c)
+                    };
+                    let zm = if z > 0 {
+                        at(x, y, z - 1)
+                    } else {
+                        halo(4, y * bx + x, c)
+                    };
+                    let zp = if z + 1 < bz {
+                        at(x, y, z + 1)
+                    } else {
+                        halo(5, y * bx + x, c)
+                    };
+                    out[(z * by + y) * bx + x] = (c + xm + xp + ym + yp + zm + zp) / 7.0;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_sweep_matches_per_cell_oracle_bitwise() {
+        // Values spread over magnitudes, so a changed summation order
+        // would show up in the low bits.
+        let value =
+            |i: usize| ((i * 2_654_435_761) % 10_007) as f64 * 1.37e-3 + (i % 5) as f64 * 1e3;
+        for dims in [(1, 1, 1), (1, 5, 3), (7, 1, 2), (3, 4, 1), (8, 8, 8)] {
+            let old: Vec<f64> = (0..dims.0 * dims.1 * dims.2).map(value).collect();
+            for mask in 0..64usize {
+                let halos: Vec<Option<Vec<f64>>> = (0..6)
+                    .map(|face| {
+                        (mask >> face & 1 == 1).then(|| {
+                            (0..plane_len(face, dims))
+                                .map(|i| value(1000 * (face + 1) + i))
+                                .collect()
+                        })
+                    })
+                    .collect();
+                let want = jacobi_per_cell(dims, &old, &halos);
+                let mut block = old.clone();
+                jacobi_update(dims, &mut block, &mut Vec::new(), &halos);
+                for (i, (g, w)) in block.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{dims:?} mask {mask:06b} cell {i}: got {g} want {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,19 +117,27 @@ fn base_cfg() -> StencilConfig {
     }
 }
 
-#[test]
-fn baseline_matches_serial_reference_cell_for_cell() {
-    let cfg = base_cfg();
-    let got = run_stencil_blocks(&cfg);
-    let want = reference_full(&cfg);
+/// The runtime's blocks equal the serial reference bit for bit: both
+/// sum each cell's seven terms in the same order.
+fn assert_bitwise_reference(cfg: &StencilConfig) {
+    let got = run_stencil_blocks(cfg);
+    let want = reference_full(cfg);
     for (b, (g, w)) in got.iter().zip(&want).enumerate() {
         for (j, (gv, wv)) in g.iter().zip(w).enumerate() {
-            assert!(
-                (gv - wv).abs() < 1e-12,
-                "block {b} cell {j}: got {gv} want {wv}"
+            assert_eq!(
+                gv.to_bits(),
+                wv.to_bits(),
+                "{:?}/{:?} block {b} cell {j}: got {gv} want {wv}",
+                cfg.chares,
+                cfg.block
             );
         }
     }
+}
+
+#[test]
+fn baseline_matches_serial_reference_cell_for_cell() {
+    assert_bitwise_reference(&base_cfg());
 }
 
 #[test]
@@ -174,6 +182,10 @@ fn asymmetric_blocks_and_grids_match_reference() {
         ((3usize, 2usize, 1usize), (8usize, 4usize, 6usize)),
         ((1, 4, 2), (5, 7, 3)),
         ((4, 1, 1), (12, 3, 2)),
+        // One-wide blocks, with neighbours on both sides of the thin face.
+        ((3, 1, 2), (1, 5, 3)),
+        ((1, 3, 2), (7, 1, 2)),
+        ((2, 2, 3), (3, 4, 1)),
     ] {
         let cfg = StencilConfig {
             chares,
@@ -181,11 +193,6 @@ fn asymmetric_blocks_and_grids_match_reference() {
             iterations: 2,
             ..base_cfg()
         };
-        let got = run_stencil(&cfg).checksum;
-        let want = reference_checksum(&cfg);
-        assert!(
-            (got - want).abs() < 1e-9 * want.abs().max(1.0),
-            "{chares:?}/{block:?}: got {got} want {want}"
-        );
+        assert_bitwise_reference(&cfg);
     }
 }
